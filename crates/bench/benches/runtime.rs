@@ -344,9 +344,8 @@ fn bench_read_tier_sweep(c: &mut Criterion) {
     // tier — the store word plus an outstanding-delta bound, no reduction,
     // no read hold. `exact/rN` loses its lead as N grows (each read pays
     // O(active writers)); `stale/rN` should hold the update-path advantage
-    // flat across the sweep. The stale rows run with a 1 ms background
-    // refresher resident, as a monitoring deployment would. These rows are
-    // part of CI's bench-guard baseline.
+    // flat across the sweep. These rows are part of CI's bench-guard
+    // baseline.
     let mut group = c.benchmark_group("read_tier_sweep");
     group.sample_size(10);
     // Fan-out geometry: as many resident workers as producers, so an exact
@@ -374,10 +373,7 @@ fn bench_read_tier_sweep(c: &mut Criterion) {
         let stale_spec = spec.with_read_tier(ReadTier::Stale);
         group.bench_function(format!("stale/r{reads_per_1000}"), |b| {
             b.iter(|| {
-                let rt = RuntimeBuilder::new(CommutativeOp::AddU64, stale_spec.lanes)
-                    .workers(workers)
-                    .refresh_interval(std::time::Duration::from_millis(1))
-                    .build();
+                let rt = make_runtime(BackendKind::Coup, stale_spec.lanes, workers);
                 run_contended(&rt, producers, &stale_spec)
             });
         });

@@ -940,9 +940,16 @@ enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest object/array nesting [`parse_sites_json`] accepts — far above
+/// the four levels of a site table; past it, a hostile input gets an `Err`
+/// instead of overflowing the stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 struct JsonP<'a> {
     b: &'a [u8],
     i: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl JsonP<'_> {
@@ -964,53 +971,8 @@ impl JsonP<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.ws();
         match self.b.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.ws();
-                    self.eat(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.b.get(self.i) == Some(&b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    match self.b.get(self.i) {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
-                    }
-                }
-            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.lit("false").map(|()| Json::Bool(false)),
@@ -1026,6 +988,70 @@ impl JsonP<'_> {
                     .ok_or_else(|| format!("bad number at byte {start}"))
             }
             _ => Err(format!("unexpected value at byte {}", self.i)),
+        }
+    }
+
+    /// Runs `container` one nesting level down, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.i += 1;
+        let mut fields = Vec::new();
+        self.ws();
+        if self.b.get(self.i) == Some(&b'}') {
+            self.i += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.ws();
+            let key = self.string()?;
+            self.ws();
+            self.eat(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.ws();
+            match self.b.get(self.i) {
+                Some(b',') => self.i += 1,
+                Some(b'}') => {
+                    self.i += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected `,` or `}}` at byte {}", self.i)),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.i += 1;
+        let mut items = Vec::new();
+        self.ws();
+        if self.b.get(self.i) == Some(&b']') {
+            self.i += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.ws();
+            match self.b.get(self.i) {
+                Some(b',') => self.i += 1,
+                Some(b']') => {
+                    self.i += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected `,` or `]` at byte {}", self.i)),
+            }
         }
     }
 
@@ -1114,6 +1140,7 @@ pub fn parse_sites_json(text: &str) -> Result<SiteTable, String> {
     let mut p = JsonP {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.ws();

@@ -253,6 +253,19 @@ fn site_table_round_trips_byte_identically() {
 }
 
 #[test]
+fn site_table_parser_rejects_deep_nesting_instead_of_overflowing() {
+    let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    // At the cap the structure parses; the schema check is what rejects it.
+    let err = parse_sites_json(&nest(MAX_JSON_DEPTH)).unwrap_err();
+    assert!(!err.contains("nesting"), "{err}");
+    let err = parse_sites_json(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+    assert!(err.contains("nesting"), "{err}");
+    // Far past what a test thread's stack survives when recursing.
+    let hostile = format!("{{\"sites\": {}", "[".repeat(100_000));
+    assert!(parse_sites_json(&hostile).is_err());
+}
+
+#[test]
 fn report_json_and_github_renders_have_stable_shapes() {
     let report = report_one(
         "a.rs",

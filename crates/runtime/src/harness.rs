@@ -416,7 +416,13 @@ mod tests {
             "stale reads must bypass reductions"
         );
         assert_eq!(report.metrics.stale_reads, report.reads);
-        assert_eq!(report.metrics.staleness.count(), report.reads);
+        // The staleness histogram is compiled out without `telemetry`.
+        let recorded = if cfg!(feature = "telemetry") {
+            report.reads
+        } else {
+            0
+        };
+        assert_eq!(report.metrics.staleness.count(), recorded);
     }
 
     #[test]

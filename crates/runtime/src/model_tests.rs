@@ -18,9 +18,8 @@
 //! `--cfg coup_model_mutation` one named ordering per protocol is weakened
 //! to `Relaxed` (`EPOCH_PUBLISH`, `WRITER_RETIRE`, `EVICTION_FOLD` in
 //! `backend.rs`; `TICKET_PUBLISH` in `trace.rs`; `RING_PUBLISH`,
-//! `SHARD_RETIRE`, `WAKE_PUBLISH`, `QUIESCE_PUBLISH` in `ring.rs`;
-//! `SNAP_PUBLISH` in `runtime.rs`), and the
-//! test below that names it must *fail* — CI's mutation lane asserts
+//! `SHARD_RETIRE`, `WAKE_PUBLISH`, `QUIESCE_PUBLISH` in `ring.rs`), and
+//! the test below that names it must *fail* — CI's mutation lane asserts
 //! exactly that, proving these tests have teeth rather than passing
 //! vacuously. One ring edge is deliberately *shielded* from mutation —
 //! the ring-consume head store, documented at the constants in `ring.rs` —
@@ -437,47 +436,5 @@ fn drain_quiesce_makes_applied_work_visible() {
         for worker in workers {
             worker.join().unwrap();
         }
-    });
-}
-
-/// Protocol 10 — snapshot publication: the refresher fills the snapshot
-/// words with Relaxed stores and seals them with one epoch bump carrying
-/// [`SNAP_PUBLISH`]; a reader whose Acquire epoch load observes epoch `N`
-/// must also observe every word of snapshot `N` or later. This is the
-/// whole eventual-consistency contract of `stale_snapshot`, modelled on
-/// the real constant over a one-word store.
-///
-/// Mutation pairing: `SNAP_PUBLISH` weakened to `Relaxed` admits this
-/// interleaving: the publisher stores word 7 and bumps the epoch, but the
-/// relaxed RMW does not add the publisher's clock to the epoch's release
-/// chain; the reader's acquire epoch load returns 1 yet its relaxed word
-/// load is free to return stale 0 — caught by the word assert.
-#[test]
-fn snap_publish_seals_the_snapshot_words_it_announces() {
-    use crate::runtime::SNAP_PUBLISH;
-    use crate::sync::atomic::{AtomicU64, Ordering};
-    loom::model(|| {
-        let word = Arc::new(AtomicU64::new(0));
-        let epoch = Arc::new(AtomicU64::new(0));
-        let publisher = {
-            let word = Arc::clone(&word);
-            let epoch = Arc::clone(&epoch);
-            thread::spawn(move || {
-                word.store(7, Ordering::Relaxed);
-                epoch.fetch_add(1, SNAP_PUBLISH);
-            })
-        };
-        // ord: snap-publish
-        if epoch.load(Ordering::Acquire) > 0 {
-            assert_eq!(
-                word.load(Ordering::Relaxed),
-                7,
-                "sealed epoch observed over a stale snapshot word"
-            );
-        }
-        publisher.join().unwrap();
-        // ord: snap-publish
-        assert_eq!(epoch.load(Ordering::Acquire), 1);
-        assert_eq!(word.load(Ordering::Relaxed), 7);
     });
 }

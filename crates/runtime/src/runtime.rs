@@ -86,9 +86,7 @@ use crate::backend::{
 };
 use crate::engine::Engine;
 use crate::harness::ThroughputReport;
-use crate::ring::{
-    ParkResult, Parker, RefreshGate, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH,
-};
+use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH};
 use crate::telemetry::{MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
 use crate::trace::TraceKind;
 
@@ -131,7 +129,6 @@ pub struct RuntimeBuilder {
     queue_capacity: usize,
     shard_slots: usize,
     telemetry: TelemetryConfig,
-    refresh_interval: Option<Duration>,
 }
 
 /// Default bound on each producer's submission ring, in updates. A producer
@@ -172,19 +169,7 @@ impl RuntimeBuilder {
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             shard_slots: DEFAULT_SHARD_SLOTS,
             telemetry: TelemetryConfig::default(),
-            refresh_interval: None,
         }
-    }
-
-    /// Spawns a background refresher that publishes an eventually-consistent
-    /// whole-store snapshot every `interval` (default: no refresher). The
-    /// snapshot is what [`CoupRuntime::stale_snapshot`] serves — monitor and
-    /// dashboard traffic reads it for free instead of forcing reductions.
-    /// [`CoupRuntime::refresh_now`] interrupts the interval on demand.
-    #[must_use]
-    pub fn refresh_interval(mut self, interval: Duration) -> Self {
-        self.refresh_interval = Some(interval);
-        self
     }
 
     /// Telemetry configuration: runtime kill-switch, trace-ring capacity,
@@ -309,27 +294,12 @@ impl RuntimeBuilder {
             workers: self.workers,
             handle_reads: AtomicU64::new(0),
             stale_reads: AtomicU64::new(0),
-            refreshes: AtomicU64::new(0),
-            snap_words: (0..self.lanes).map(|_| AtomicU64::new(0)).collect(),
-            snap_epoch: AtomicU64::new(0),
-            refresh: RefreshGate::new(),
             telemetry,
             epoch: Instant::now(),
-        });
-        // The refresher is a resident component like the workers, but it
-        // only reads — it spawns eagerly (no buffer ownership to hand off)
-        // and runs straight through `run_workers` jobs.
-        let refresher = self.refresh_interval.map(|interval| {
-            let shared = Arc::clone(&shared);
-            crate::sync::thread::Builder::new()
-                .name("coup-refresher".to_string())
-                .spawn(move || shared.refresher_loop(interval))
-                .expect("spawning the snapshot refresher thread")
         });
         CoupRuntime {
             shared,
             drainers: Mutex::new(Vec::new()),
-            refresher: Mutex::new(refresher),
             job: Mutex::new(()),
             started: Instant::now(),
         }
@@ -341,20 +311,6 @@ impl RuntimeBuilder {
 /// indivisible RMW — the gate cannot race shutdown.
 const SUBMIT_CLOSED: u64 = 1 << 63;
 const SUBMIT_MASK: u64 = SUBMIT_CLOSED - 1;
-
-/// The snapshot-publication edge: the refresher (or an inline
-/// [`CoupRuntime::refresh_now`]) fills every word of
-/// [`Shared::snap_words`] with Relaxed stores and then bumps
-/// [`Shared::snap_epoch`] with this ordering. A reader that Acquires epoch
-/// `N` therefore sees every word of snapshot `N` or later — the whole
-/// eventual-consistency contract of [`CoupRuntime::stale_snapshot`] hangs
-/// off this one Release. The `coup_model_mutation` CI lane weakens it to
-/// `Relaxed`; the paired model test observes a bumped epoch over a stale
-/// snapshot word and fails, proving the edge is load-bearing.
-#[cfg(not(coup_model_mutation))]
-pub(crate) const SNAP_PUBLISH: Ordering = Ordering::Release; // ord: snap-publish
-#[cfg(coup_model_mutation)]
-pub(crate) const SNAP_PUBLISH: Ordering = Ordering::Relaxed;
 
 /// State shared by the runtime, its resident workers, and every handle.
 struct Shared {
@@ -390,17 +346,6 @@ struct Shared {
     /// Relaxed-tier reads served through the facade
     /// ([`CoupRuntime::read_stale`] and the handles' stale variants).
     stale_reads: AtomicU64,
-    /// Eventually-consistent snapshots published (refresher interval ticks
-    /// plus [`CoupRuntime::refresh_now`] demands).
-    refreshes: AtomicU64,
-    /// The published snapshot: one word per lane, filled with Relaxed
-    /// stores and fenced as a unit by the [`SNAP_PUBLISH`] epoch bump.
-    snap_words: Box<[AtomicU64]>,
-    /// Snapshot generation counter: `0` means "never refreshed"; readers
-    /// Acquire it before loading [`Shared::snap_words`].
-    snap_epoch: AtomicU64,
-    /// The refresher's timed park point (demand / close edges).
-    refresh: RefreshGate,
     /// The metrics registry + trace rings, shared with the backend.
     telemetry: Arc<TelemetryRegistry>,
     /// Base instant for the nanosecond timestamps in the shard slots'
@@ -541,41 +486,6 @@ impl Shared {
         self.backend.read_stale(usize::MAX, lane)
     }
 
-    /// Publishes one eventually-consistent snapshot: an exact read per lane
-    /// into [`Shared::snap_words`], sealed by the [`SNAP_PUBLISH`] epoch
-    /// bump. Concurrent publishers interleave harmlessly — every word is
-    /// individually an exact read, so a mixed snapshot is still a valid
-    /// eventually-consistent view. Returns the new epoch.
-    fn publish_snapshot(&self) -> u64 {
-        for (lane, word) in self.snap_words.iter().enumerate() {
-            word.store(self.backend.read(usize::MAX, lane), Ordering::Relaxed);
-        }
-        let epoch = self.snap_epoch.fetch_add(1, SNAP_PUBLISH) + 1;
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-        self.telemetry
-            .trace(usize::MAX, TraceKind::SnapshotRefresh, epoch as usize);
-        epoch
-    }
-
-    /// Body of the `coup-refresher` thread: publish, sleep up to `interval`
-    /// on the refresh gate (a demand or close interrupts the sleep), repeat.
-    /// The publish runs *before* the close check so shutdown always gets one
-    /// final snapshot covering everything visible at close time.
-    fn refresher_loop(&self, interval: Duration) {
-        loop {
-            // Status before publishing: a demand bump landing mid-publish
-            // moves it, turning the park below into an immediate retry.
-            let status = self.refresh.status();
-            self.publish_snapshot();
-            if self.refresh.is_closed() {
-                return;
-            }
-            // Timeout and spurious wake alike fall through to a fresh
-            // publish — an early snapshot is always safe.
-            let _ = self.refresh.park_timeout(status, interval);
-        }
-    }
-
     /// Assembles a full [`MetricsSnapshot`]: submission counters, the
     /// backend's per-worker counter folds, and the registry's histograms and
     /// trace totals. No stop-the-world — workers keep running while this
@@ -586,7 +496,6 @@ impl Shared {
             updates_applied: self.applied.load(Ordering::Relaxed),
             handle_reads: self.handle_reads.load(Ordering::Relaxed),
             stale_reads: self.stale_reads.load(Ordering::Relaxed),
-            snapshot_refreshes: self.refreshes.load(Ordering::Relaxed),
             read_cost: self.backend.read_cost(),
             buffer_stats: self.backend.buffer_stats(),
             ..MetricsSnapshot::default()
@@ -702,6 +611,20 @@ impl Submitter {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.batch.len()
+    }
+
+    /// Updates this producer accepted that no worker has applied yet: the
+    /// open batch plus the published ring entries its worker has not
+    /// consumed. The Acquire head load pairs with the worker's head store,
+    /// which follows its application of every entry below the head — so an
+    /// update this count misses is already in the backend, where a
+    /// subsequent stale walk finds it in a pending counter or the store.
+    fn unapplied(&self) -> u64 {
+        let queued = self
+            .shard
+            .as_ref()
+            .map_or(0, |grant| self.tail.wrapping_sub(grant.ring.head()));
+        self.batch.len() as u64 + queued
     }
 
     /// The one publication path. `panic_if_closed` selects the closed-
@@ -881,10 +804,16 @@ impl LaneHandle {
     /// Reads `lane` through the relaxed tier: the store word plus a monotone
     /// staleness bound, with no reduction and no read holds (see
     /// [`CoupRuntime::read_stale`]). The bound counts this handle's own
-    /// queued-but-unapplied updates too.
+    /// queued-but-unapplied updates too — to every lane, which over-reports
+    /// for `lane` but never under-reports.
     #[must_use]
     pub fn read_stale(&self, lane: usize) -> StaleRead {
-        self.submitter.shared.read_stale(lane)
+        // Own updates first: every ring entry below the head this count
+        // observes was applied before the backend walk below starts.
+        let own = self.submitter.unapplied();
+        let mut stale = self.submitter.shared.read_stale(lane);
+        stale.staleness += own;
+        stale
     }
 
     /// Number of lanes of the underlying runtime.
@@ -1129,10 +1058,6 @@ pub struct CoupRuntime {
     /// Resident worker join handles — empty until the first submission
     /// handle spawns them (lazy, so kernel-only runtimes pay nothing).
     drainers: Mutex<Vec<crate::sync::thread::JoinHandle<u64>>>,
-    /// The background snapshot refresher, when
-    /// [`RuntimeBuilder::refresh_interval`] armed one (spawned eagerly at
-    /// build — it only reads, so it needs no ownership hand-off).
-    refresher: Mutex<Option<crate::sync::thread::JoinHandle<()>>>,
     /// Serialises [`CoupRuntime::run_workers`] jobs (and the lazy worker
     /// spawn): two jobs sharing worker thread identities concurrently would
     /// break the buffers' single-writer discipline, and a spawn landing
@@ -1262,50 +1187,6 @@ impl CoupRuntime {
     #[must_use]
     pub fn read_stale(&self, lane: usize) -> StaleRead {
         self.shared.read_stale(lane)
-    }
-
-    /// The last published eventually-consistent snapshot and its epoch.
-    /// Epoch `0` means no snapshot has been published yet (all-zero words).
-    /// The Acquire on the epoch pairs with the publisher's `SNAP_PUBLISH`
-    /// bump: observing epoch `N` guarantees every word of snapshot `N` is
-    /// visible (words of a *later* in-flight snapshot may already be mixed
-    /// in — each word is individually an exact read, so the mix is still a
-    /// valid eventually-consistent view).
-    #[must_use]
-    pub fn stale_snapshot(&self) -> (Vec<u64>, u64) {
-        // ord: snap-publish
-        let epoch = self.shared.snap_epoch.load(Ordering::Acquire);
-        let words = self
-            .shared
-            .snap_words
-            .iter()
-            .map(|word| word.load(Ordering::Relaxed))
-            .collect();
-        (words, epoch)
-    }
-
-    /// Publishes a fresh snapshot now. With a live refresher this demands a
-    /// wake through the refresh gate and waits for the epoch to advance;
-    /// without one ([`RuntimeBuilder::refresh_interval`] unset) it publishes
-    /// inline on the calling thread. Either way, on return
-    /// [`CoupRuntime::stale_snapshot`] serves a snapshot no older than this
-    /// call's start.
-    pub fn refresh_now(&self) {
-        let live = self
-            .refresher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some();
-        if live {
-            let before = self.shared.snap_epoch.load(Ordering::Relaxed);
-            self.shared.refresh.notify();
-            // ord: snap-publish
-            while self.shared.snap_epoch.load(Ordering::Acquire) == before {
-                sync::thread::yield_now();
-            }
-        } else {
-            self.shared.publish_snapshot();
-        }
     }
 
     /// Cumulative read-side cost counters of the backend.
@@ -1464,22 +1345,6 @@ impl CoupRuntime {
                 Err(_) => {}
             }
         }
-        // Close the refresher after the drainers joined: its final publish
-        // (the one it runs on observing the close) then covers the fully
-        // flushed store, so the last snapshot equals the exact final state.
-        let refresher = self
-            .refresher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(refresher) = refresher {
-            self.shared.refresh.close();
-            match refresher.join() {
-                Ok(()) => {}
-                Err(payload) if propagate_panics => std::panic::resume_unwind(payload),
-                Err(_) => {}
-            }
-        }
         self.shared.idle.close();
         applied
     }
@@ -1518,12 +1383,7 @@ impl Drop for CoupRuntime {
     /// published updates are applied and workers join, so no submitted
     /// update is ever lost — only the final report is forfeited.
     fn drop(&mut self) {
-        let live_refresher = self
-            .refresher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some();
-        if !self.lock_drainers().is_empty() || live_refresher {
+        if !self.lock_drainers().is_empty() {
             let _ = self.close_and_join(false);
         }
     }
@@ -1865,8 +1725,16 @@ mod tests {
         assert_eq!((stale.value, stale.staleness), (8, 0));
         let metrics = rt.metrics();
         assert_eq!(metrics.stale_reads, 2);
-        assert_eq!(metrics.staleness.count(), 2);
-        assert_eq!(metrics.staleness.sum, 8);
+        // The staleness histogram is compiled out without `telemetry`.
+        let (count, sum) = if cfg!(feature = "telemetry") {
+            (2, 8)
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            (metrics.staleness.count(), metrics.staleness.sum),
+            (count, sum)
+        );
     }
 
     #[test]
@@ -1887,60 +1755,6 @@ mod tests {
         let stale = handle.read_stale(3);
         assert_eq!(stale.value, 0, "exact reads do not migrate the deltas");
         assert_eq!(stale.staleness, 2);
-    }
-
-    #[test]
-    fn refresh_now_publishes_inline_without_a_refresher() {
-        let rt = counting_runtime(4, 1, 2);
-        let (words, epoch) = rt.stale_snapshot();
-        assert_eq!((words, epoch), (vec![0; 4], 0), "no snapshot yet");
-        let mut sub = rt.submitter();
-        sub.push(1, 5);
-        sub.flush();
-        drop(sub);
-        rt.drain();
-        rt.refresh_now();
-        let (words, epoch) = rt.stale_snapshot();
-        assert_eq!(words[1], 5, "snapshot words are exact reads");
-        assert!(epoch >= 1);
-        assert!(rt.metrics().snapshot_refreshes >= 1);
-    }
-
-    #[test]
-    fn a_live_refresher_ticks_and_refresh_now_interrupts_its_sleep() {
-        let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 4)
-            .workers(1)
-            .refresh_interval(Duration::from_millis(1))
-            .build();
-        // Interval ticks publish with no demand at all.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rt.stale_snapshot().1 < 2 {
-            assert!(Instant::now() < deadline, "refresher never ticked");
-            std::thread::yield_now();
-        }
-        let mut sub = rt.submitter();
-        sub.push(0, 7);
-        sub.flush();
-        drop(sub);
-        rt.drain();
-        rt.refresh_now();
-        assert_eq!(rt.stale_snapshot().0[0], 7);
-        // Shutdown closes the refresh gate and joins the refresher.
-        let result = rt.shutdown();
-        assert_eq!(result.snapshot[0], 7);
-        assert!(result.report.metrics.snapshot_refreshes >= 3);
-    }
-
-    #[test]
-    fn dropping_a_refresher_only_runtime_joins_the_refresher() {
-        // No handle ever spawns drainers; Drop must still close the gate
-        // and join the refresher thread (no leak, no hang).
-        let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 4)
-            .refresh_interval(Duration::from_secs(3600))
-            .build();
-        rt.refresh_now();
-        assert!(rt.stale_snapshot().1 >= 1);
-        drop(rt);
     }
 
     #[test]

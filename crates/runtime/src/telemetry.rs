@@ -496,9 +496,6 @@ pub struct MetricsSnapshot {
     /// Relaxed-tier reads served through the facade
     /// ([`crate::CoupRuntime::read_stale`] and its handle variants).
     pub stale_reads: u64,
-    /// Eventually-consistent snapshots published by the background
-    /// refresher (plus explicit [`crate::CoupRuntime::refresh_now`] calls).
-    pub snapshot_refreshes: u64,
     /// Parker sleeps: drainers on an empty stripe, producers on a full
     /// ring, workers paused for a kernel job.
     pub queue_parks: u64,
@@ -533,7 +530,7 @@ pub struct MetricsSnapshot {
 
 /// `(prometheus name, help text)` for every scalar counter, in the order of
 /// [`MetricsSnapshot::counter_values`] / `counter_slots`.
-const COUNTER_META: [(&str, &str); 18] = [
+const COUNTER_META: [(&str, &str); 17] = [
     (
         "coup_uptime_nanoseconds",
         "Nanoseconds since the telemetry registry was created.",
@@ -553,10 +550,6 @@ const COUNTER_META: [(&str, &str); 18] = [
     (
         "coup_stale_reads_total",
         "Relaxed-tier reads served through the facade.",
-    ),
-    (
-        "coup_snapshot_refreshes_total",
-        "Eventually-consistent snapshots published by the refresher.",
     ),
     (
         "coup_queue_parks_total",
@@ -637,14 +630,13 @@ const HIST_META: [(&str, &str); HIST_COUNT] = [
 
 impl MetricsSnapshot {
     /// Scalar counter values in [`COUNTER_META`] order.
-    fn counter_values(&self) -> [u64; 18] {
+    fn counter_values(&self) -> [u64; 17] {
         [
             self.uptime_ns,
             self.updates_submitted,
             self.updates_applied,
             self.handle_reads,
             self.stale_reads,
-            self.snapshot_refreshes,
             self.queue_parks,
             self.queue_unparks,
             self.trace_recorded,
@@ -661,14 +653,13 @@ impl MetricsSnapshot {
     }
 
     /// Mutable scalar counter slots in [`COUNTER_META`] order.
-    fn counter_slots(&mut self) -> [&mut u64; 18] {
+    fn counter_slots(&mut self) -> [&mut u64; 17] {
         [
             &mut self.uptime_ns,
             &mut self.updates_submitted,
             &mut self.updates_applied,
             &mut self.handle_reads,
             &mut self.stale_reads,
-            &mut self.snapshot_refreshes,
             &mut self.queue_parks,
             &mut self.queue_unparks,
             &mut self.trace_recorded,
@@ -876,7 +867,6 @@ impl MetricsSnapshot {
                 "  \"updates_applied\": {},\n",
                 "  \"handle_reads\": {},\n",
                 "  \"stale_reads\": {},\n",
-                "  \"snapshot_refreshes\": {},\n",
                 "  \"queue_parks\": {},\n",
                 "  \"queue_unparks\": {},\n",
                 "  \"trace_recorded\": {},\n",
@@ -899,7 +889,6 @@ impl MetricsSnapshot {
             self.updates_applied,
             self.handle_reads,
             self.stale_reads,
-            self.snapshot_refreshes,
             self.queue_parks,
             self.queue_unparks,
             self.trace_recorded,
@@ -941,7 +930,6 @@ impl MetricsSnapshot {
             updates_applied: json::get_u64(root, "updates_applied")?,
             handle_reads: json::get_u64(root, "handle_reads")?,
             stale_reads: json::get_u64(root, "stale_reads")?,
-            snapshot_refreshes: json::get_u64(root, "snapshot_refreshes")?,
             queue_parks: json::get_u64(root, "queue_parks")?,
             queue_unparks: json::get_u64(root, "queue_unparks")?,
             trace_recorded: json::get_u64(root, "trace_recorded")?,
@@ -1055,10 +1043,16 @@ pub(crate) mod json {
         get(fields, key)?.as_u64(key)
     }
 
+    /// Deepest object/array nesting [`parse`] accepts — far above the few
+    /// levels the writers emit; past it, a hostile input gets an `Err`
+    /// instead of overflowing the stack.
+    pub(crate) const MAX_DEPTH: usize = 128;
+
     pub(crate) fn parse(text: &str) -> Result<Value, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -1072,6 +1066,8 @@ pub(crate) mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Objects and arrays currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -1102,8 +1098,8 @@ pub(crate) mod json {
         fn value(&mut self) -> Result<Value, String> {
             self.skip_ws();
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.nested(Self::object),
+                Some(b'[') => self.nested(Self::array),
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -1115,6 +1111,24 @@ pub(crate) mod json {
                     self.pos
                 )),
             }
+        }
+
+        /// Runs `container` one nesting level down, refusing to go past
+        /// [`MAX_DEPTH`].
+        fn nested(
+            &mut self,
+            container: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!(
+                    "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                    self.pos
+                ));
+            }
+            self.depth += 1;
+            let value = container(self);
+            self.depth -= 1;
+            value
         }
 
         fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -1433,6 +1447,18 @@ mod tests {
             .to_json()
             .replace("\"buckets\": [", "\"buckets\": [1, ");
         assert!(MetricsSnapshot::from_json(&truncated_buckets).is_err());
+    }
+
+    #[test]
+    fn json_parser_rejects_deep_nesting_instead_of_overflowing() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nest(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nest(json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past what a test thread's stack survives when recursing.
+        let hostile = "[".repeat(100_000);
+        assert!(MetricsSnapshot::from_json(&hostile).is_err());
+        assert!(MetricsSnapshot::from_json(&format!("{{\"uptime_ns\": {hostile}")).is_err());
     }
 
     #[cfg(feature = "telemetry")]

@@ -42,9 +42,6 @@ pub enum TraceKind {
     /// A drainer consumed a published batch from a shard ring; the `line`
     /// field carries the directory slot index.
     ShardDrain,
-    /// The background refresher published an eventually-consistent snapshot
-    /// of the shared store (`line` carries the new snapshot epoch, clamped).
-    SnapshotRefresh,
 }
 
 impl TraceKind {
@@ -60,7 +57,6 @@ impl TraceKind {
             TraceKind::QueuePark => 5,
             TraceKind::QueueUnpark => 6,
             TraceKind::ShardDrain => 7,
-            TraceKind::SnapshotRefresh => 8,
         }
     }
 
@@ -76,7 +72,6 @@ impl TraceKind {
             5 => TraceKind::QueuePark,
             6 => TraceKind::QueueUnpark,
             7 => TraceKind::ShardDrain,
-            8 => TraceKind::SnapshotRefresh,
             _ => return None,
         })
     }
@@ -92,7 +87,6 @@ impl TraceKind {
             TraceKind::QueuePark => "queue_park",
             TraceKind::QueueUnpark => "queue_unpark",
             TraceKind::ShardDrain => "shard_drain",
-            TraceKind::SnapshotRefresh => "snapshot_refresh",
         }
     }
 }
@@ -348,7 +342,6 @@ mod ring {
                 TraceKind::QueuePark,
                 TraceKind::QueueUnpark,
                 TraceKind::ShardDrain,
-                TraceKind::SnapshotRefresh,
             ] {
                 assert_eq!(TraceKind::from_u8(kind.as_u8()), Some(kind));
             }

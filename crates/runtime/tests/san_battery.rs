@@ -76,18 +76,14 @@ fn exercise_backend() {
 }
 
 /// ring-publish, ring-consume, shard-claim, shard-retire, queue-wake,
-/// drain-quiesce, job-pause, trace-ticket, plus the tiered-read protocols:
-/// stale-pending (the bound's pending-counter walk), snap-publish (the
-/// refresher's epoch seal) and refresh-wake (the refresher gate's
-/// demand/close edges): the submission-queue and runtime-facade protocols.
+/// drain-quiesce, job-pause, trace-ticket, plus the tiered read's
+/// stale-pending (the bound's pending-counter walk): the submission-queue
+/// and runtime-facade protocols.
 fn exercise_runtime() {
     let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 64)
         .workers(2)
         .batch_capacity(4)
         .queue_capacity(8)
-        // A resident refresher: its park/notify cycle drives `refresh-wake`
-        // and every published snapshot seals via `snap-publish`.
-        .refresh_interval(std::time::Duration::from_millis(1))
         .build();
     // Spawn the resident workers before the producer flood (handles spawn
     // them lazily) so `run_workers` below really pauses live drainers.
@@ -121,21 +117,11 @@ fn exercise_runtime() {
     rt.drain();
     assert_eq!(rt.read(0) + (1..64).map(|l| rt.read(l)).sum::<u64>(), 2002);
     // The stale tier: the bound's writer-bitmap + pending-counter walk
-    // acquires each buffer's pending publishes (`stale-pending`), and a
-    // demanded refresh exercises the gate's notify edge (`refresh-wake`)
-    // plus the snapshot epoch's Acquire side (`snap-publish`).
+    // acquires each buffer's pending publishes (`stale-pending`).
     let stale = rt.read_stale(0);
     assert!(
         stale.value + stale.staleness >= rt.read(0),
         "the add-one bound must cover the exact read"
-    );
-    rt.refresh_now();
-    let (snapshot, epoch) = rt.stale_snapshot();
-    assert!(epoch > 0, "refresh_now must publish a snapshot");
-    assert_eq!(
-        snapshot.iter().sum::<u64>(),
-        2002,
-        "the drained store is fully visible to the refresher"
     );
     // Draining the event trace acquires every worker's ticket publishes
     // (`trace-ticket`).

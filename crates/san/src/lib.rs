@@ -354,42 +354,6 @@ pub mod sync {
             }
         }
 
-        /// Timed wait: releases and reacquires the shadow clock exactly
-        /// like [`Condvar::wait`]; the timeout itself carries no
-        /// happens-before edge (only the reacquired mutex does).
-        pub fn wait_timeout<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            dur: std::time::Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, std::sync::WaitTimeoutResult)> {
-            let clock = guard.clock;
-            {
-                let mut shadow = clock.lock().unwrap_or_else(|e| e.into_inner());
-                shadow::mutex_released(&mut shadow);
-            }
-            let real = guard.inner.take().expect("guard already taken");
-            let (real, timeout, poisoned) = match self.inner.wait_timeout(real, dur) {
-                Ok((real, timeout)) => (real, timeout, false),
-                Err(err) => {
-                    let (real, timeout) = err.into_inner();
-                    (real, timeout, true)
-                }
-            };
-            {
-                let shadow = clock.lock().unwrap_or_else(|e| e.into_inner());
-                shadow::mutex_acquired(&shadow);
-            }
-            let rewrapped = MutexGuard {
-                inner: Some(real),
-                clock,
-            };
-            if poisoned {
-                Err(PoisonError::new((rewrapped, timeout)))
-            } else {
-                Ok((rewrapped, timeout))
-            }
-        }
-
         pub fn notify_one(&self) {
             self.inner.notify_one();
         }

@@ -263,9 +263,7 @@ fn sweep_submission(facade: &mut MetricsSnapshot) -> Vec<BenchSweepRow> {
 /// regime where exact reads make COUP lose its lead) served three ways —
 /// atomic baseline, COUP reducing every read, and COUP answering reads from
 /// the stale tier ([`ReadTier::Stale`]: the store word plus an outstanding-
-/// delta bound, no reduction, no read hold). A background refresher keeps an
-/// eventually-consistent snapshot ticking alongside, the way a monitoring
-/// deployment would run it.
+/// delta bound, no reduction, no read hold).
 fn sweep_read_tier(
     producers: usize,
     updates_per_thread: usize,
@@ -279,8 +277,7 @@ fn sweep_read_tier(
     println!(
         "read-tier sweep at {producers} producers, {workers} resident \
          workers: exact reads reduce the writer bitmap's buffers; stale \
-         reads return the store word + a staleness bound (1 ms background \
-         refresher live)"
+         reads return the store word + a staleness bound"
     );
     println!(
         "{:>12} | {:>14} | {:>14} | {:>14} | {:>12} | {:>13}",
@@ -298,7 +295,6 @@ fn sweep_read_tier(
             .build();
         let stale = RuntimeBuilder::new(CommutativeOp::AddU64, spec.lanes)
             .workers(workers)
-            .refresh_interval(std::time::Duration::from_millis(1))
             .build();
         let ra = run_contended(&atomic, producers, &spec);
         let re = run_contended(&exact, producers, &spec);

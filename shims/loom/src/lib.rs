@@ -454,22 +454,6 @@ pub mod sync {
         std: std::sync::Condvar,
     }
 
-    /// Result of [`Condvar::wait_timeout`]: whether the wait expired. The
-    /// shim defines its own (mirroring `std::sync::WaitTimeoutResult`,
-    /// which has no public constructor) so the model path can report a
-    /// synthetic timeout.
-    #[derive(Debug, Clone, Copy)]
-    pub struct WaitTimeoutResult {
-        timed_out: bool,
-    }
-
-    impl WaitTimeoutResult {
-        /// True if the wait ended because the timeout elapsed.
-        pub fn timed_out(&self) -> bool {
-            self.timed_out
-        }
-    }
-
     impl Condvar {
         /// Creates a new condition variable.
         pub const fn new() -> Self {
@@ -508,63 +492,6 @@ pub mod sync {
                         std: Some(poisoned.into_inner()),
                         lock,
                     })),
-                },
-            }
-        }
-
-        /// Releases the guard's mutex and blocks until notified or `dur`
-        /// elapses. The model has no wall clock, so inside an execution the
-        /// wait is a scheduling point that returns immediately as timed out
-        /// — the legal schedule in which the interval elapsed before any
-        /// notification — keeping explorations finite. Outside a model it
-        /// delegates to `std::sync::Condvar::wait_timeout`.
-        pub fn wait_timeout<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            dur: std::time::Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            let lock = guard.lock;
-            let std = guard.std.take().expect("guard still held");
-            match rt::with_ctx(|exec, tid| (exec.clone(), tid)) {
-                Some((exec, tid)) => {
-                    // Model path: release the lock, rotate the scheduler so
-                    // a notifier may run, then re-acquire — the timed wait
-                    // that expired without a notification.
-                    drop(std);
-                    exec.mutex_unlock(tid, lock.addr());
-                    exec.yield_point(tid);
-                    exec.mutex_lock(tid, lock.addr());
-                    let std = lock.inner.lock().unwrap_or_else(PoisonError::into_inner);
-                    Ok((
-                        MutexGuard {
-                            std: Some(std),
-                            lock,
-                        },
-                        WaitTimeoutResult { timed_out: true },
-                    ))
-                }
-                None => match self.std.wait_timeout(std, dur) {
-                    Ok((std, timeout)) => Ok((
-                        MutexGuard {
-                            std: Some(std),
-                            lock,
-                        },
-                        WaitTimeoutResult {
-                            timed_out: timeout.timed_out(),
-                        },
-                    )),
-                    Err(poisoned) => {
-                        let (std, timeout) = poisoned.into_inner();
-                        Err(PoisonError::new((
-                            MutexGuard {
-                                std: Some(std),
-                                lock,
-                            },
-                            WaitTimeoutResult {
-                                timed_out: timeout.timed_out(),
-                            },
-                        )))
-                    }
                 },
             }
         }

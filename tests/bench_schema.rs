@@ -301,10 +301,9 @@ fn committed_bench_file_is_valid_v3() {
         report.metrics.handle_reads
     );
     assert!(
-        report.metrics.stale_reads > 0 && report.metrics.snapshot_refreshes > 0,
+        report.metrics.stale_reads > 0,
         "the committed snapshot must include the read-tier sweep's stale \
-         traffic ({} stale reads, {} refreshes)",
-        report.metrics.stale_reads,
-        report.metrics.snapshot_refreshes
+         traffic ({} stale reads)",
+        report.metrics.stale_reads
     );
 }

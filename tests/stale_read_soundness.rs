@@ -24,6 +24,10 @@
 //!   `stale.value ≤ exact_after`.
 //! * **Quiescence**: once writers have flushed, the tiers converge —
 //!   `read_stale` returns the exact total with a zero bound.
+//! * **Handles**: `LaneHandle::read_stale` adds the handle's own updates
+//!   that no worker has applied yet — its open batch and its unconsumed
+//!   ring entries — so the bound also covers what the handle pushed but
+//!   the runtime has not absorbed.
 //!
 //! [`AtomicBackend`] takes the trait's default (`read` with a zero bound),
 //! which satisfies the same contract trivially; it is asserted here so the
@@ -33,7 +37,8 @@ use proptest::prelude::*;
 
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
-    AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
+    AtomicBackend, BufferConfig, CoupBackend, RuntimeBuilder, StaleRead, UpdateBackend,
+    DEFAULT_FLUSH_THRESHOLD,
 };
 
 /// Iteration multiplier for the concurrency stress tests: 1 normally, 8 when
@@ -181,4 +186,70 @@ fn concurrent_stale_reads_cover_the_exact_value_under_eviction_pressure() {
         }
         assert_eq!(snapshot.iter().sum::<u64>(), writers as u64 * updates);
     }
+}
+
+/// A handle's un-flushed batch is invisible to every worker, so only the
+/// handle itself can count it: ten pushed add-ones read back as the zero
+/// store word with all ten outstanding, through both handle flavours.
+#[test]
+fn handle_bound_counts_its_own_unflushed_batch() {
+    let rt = RuntimeBuilder::new(CommutativeOp::AddU64, 4).build();
+    let mut handle = rt.handle();
+    for _ in 0..10 {
+        handle.push(1, 1);
+    }
+    assert_eq!(
+        handle.read_stale(1),
+        StaleRead {
+            value: 0,
+            staleness: 10
+        }
+    );
+    // Other lanes see the same own-update count: over-reporting is sound.
+    assert_eq!(handle.read_stale(3).staleness, 10);
+    let mut counter = rt.counter::<coup_runtime::tag::Add64>();
+    counter.add(2, 1);
+    assert_eq!(counter.get_stale(2).staleness, 1);
+    drop(counter);
+    drop(handle);
+    assert_eq!(rt.shutdown().snapshot, vec![0, 10, 1, 0]);
+}
+
+/// Flushed but not drained: each published update is, at the read, either
+/// still in the handle's ring or applied by the worker into its buffer or
+/// the store. Whichever it is, the bound on a lane must cover everything the
+/// handle pushed to that lane — on every schedule, so the assertion holds
+/// whether or not the worker has run.
+#[test]
+fn handle_bound_covers_flushed_but_undrained_updates() {
+    let lanes = 32; // 4 store lines: capacity-2 buffers keep evicting
+    let rt = RuntimeBuilder::new(CommutativeOp::AddU64, lanes)
+        .workers(2)
+        .batch_capacity(8)
+        .buffer_config(BufferConfig::bounded(2))
+        .build();
+    let mut handle = rt.handle();
+    let mut pushed = vec![0u64; lanes];
+    for round in 0..500 * stress_factor() as usize {
+        for i in 0..=round % 11 {
+            let lane = (round * 7 + i) % lanes;
+            handle.push(lane, 1);
+            pushed[lane] += 1;
+        }
+        if round % 3 != 0 {
+            handle.flush();
+        }
+        for (lane, &want) in pushed.iter().enumerate() {
+            let stale = handle.read_stale(lane);
+            assert!(
+                stale.value + stale.staleness >= want,
+                "round {round}, lane {lane}: value {} + staleness {} does not \
+                 cover the {want} updates pushed",
+                stale.value,
+                stale.staleness
+            );
+        }
+    }
+    drop(handle);
+    assert_eq!(rt.shutdown().snapshot, pushed);
 }
