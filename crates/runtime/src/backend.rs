@@ -52,11 +52,8 @@ use std::sync::Arc;
 /// interleaving — and `model_tests.rs` documents that interleaving for each.
 /// Production builds always resolve to the strong ordering.
 ///
-/// Not every Release in this file qualifies: the eviction-count publish, for
-/// instance, is doubly covered (the migrate fence's `rel_pending` already
-/// orders the `privatized` bump before it), so weakening *it* changes
-/// nothing observable. The mutation for the stats handshake therefore
-/// attacks the fold-side Acquire instead, which is singly covered.
+/// The stats handshake's constant, `EVICTION_FOLD`, lives with the fold in
+/// `telemetry.rs`.
 ///
 /// `--cfg coup_san_mutation="epoch_publish"` weakens `EPOCH_PUBLISH` alone
 /// so the real-thread sanitizer lane can prove it has teeth (see
@@ -65,31 +62,31 @@ use std::sync::Arc;
 const EPOCH_PUBLISH: Ordering = Ordering::Release; // ord: seqlock-epoch
 #[cfg(not(coup_model_mutation))]
 const WRITER_RETIRE: Ordering = Ordering::AcqRel; // ord: writer-bitmap
-#[cfg(not(coup_model_mutation))]
-const EVICTION_FOLD: Ordering = Ordering::Acquire; // ord: evict-stats
 #[cfg(any(coup_model_mutation, coup_san_mutation = "epoch_publish"))]
 const EPOCH_PUBLISH: Ordering = Ordering::Relaxed;
 #[cfg(coup_model_mutation)]
 const WRITER_RETIRE: Ordering = Ordering::Relaxed;
-#[cfg(coup_model_mutation)]
-const EVICTION_FOLD: Ordering = Ordering::Relaxed;
 
 use coup_protocol::line::{LineData, WORDS_PER_LINE};
 use coup_protocol::ops::CommutativeOp;
 
 use crate::store::{LaneGeometry, LaneSlot, PaddedLine, SharedStore};
-use crate::telemetry::{Merge, TelemetryConfig, TelemetryRegistry};
+use crate::telemetry::{hist, Block, TelemetryConfig, TelemetryRegistry};
 use crate::trace::TraceKind;
 
-/// Cumulative read-side cost counters, the observable price of a backend's
-/// read path. [`AtomicBackend`] reads are a single shared-store load, so its
-/// counters stay zero; [`CoupBackend`] reads reduce over the buffers of the
-/// line's active writers, and these counters make that cost — and the
-/// seqlock's retry/escalation behaviour — assertable in tests and visible in
-/// throughput reports.
+/// Read-side cost counters, the observable price of a backend's read path:
+/// what one read returns from [`UpdateBackend::read_with_cost`], and the
+/// [`MetricsSnapshot::read_cost`](crate::MetricsSnapshot::read_cost) fold
+/// of every counted read. [`AtomicBackend`] reads are a single shared-store
+/// load, so its costs stay zero; [`CoupBackend`] reads reduce over the
+/// buffers of the line's active writers, and these counters make that cost
+/// — and the seqlock's retry/escalation behaviour — assertable in tests and
+/// visible in throughput reports.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReadCost {
-    /// Reads served (including the reads [`UpdateBackend::snapshot`] issues).
+    /// Reads counted. A read with no owner — on behalf of a thread outside
+    /// the backend's workers, such as those [`UpdateBackend::snapshot`]
+    /// issues — is served but not counted.
     pub reads: u64,
     /// Buffer words loaded while reducing: the O(active writers) term. With
     /// one active writer on a line this is exactly one per read, regardless
@@ -105,18 +102,6 @@ pub struct ReadCost {
 }
 
 impl ReadCost {
-    /// The counters accumulated since an `earlier` snapshot of the same
-    /// backend (counters are cumulative and monotone).
-    #[must_use]
-    pub fn since(&self, earlier: &ReadCost) -> ReadCost {
-        ReadCost {
-            reads: self.reads - earlier.reads,
-            buffer_words: self.buffer_words - earlier.buffer_words,
-            retries: self.retries - earlier.retries,
-            escalations: self.escalations - earlier.escalations,
-        }
-    }
-
     /// Mean buffer words loaded per read — the effective writer fan-in the
     /// read path paid for. Zero when no reads were served.
     #[must_use]
@@ -154,7 +139,8 @@ pub struct StaleRead {
 
 /// Cumulative buffer-side counters of a [`CoupBackend`]: how often the sparse
 /// privatized tables claimed, evicted, and drained slots. The software
-/// analogue of a cache's miss/eviction statistics, summed over all workers.
+/// analogue of a cache's miss/eviction statistics, summed over all workers
+/// as [`MetricsSnapshot::buffer_stats`](crate::MetricsSnapshot::buffer_stats).
 /// [`AtomicBackend`] has no buffers, so its counters stay zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BufferStats {
@@ -180,18 +166,6 @@ pub struct BufferStats {
 }
 
 impl BufferStats {
-    /// The counters accumulated since an `earlier` snapshot of the same
-    /// backend (counters are cumulative and monotone).
-    #[must_use]
-    pub fn since(&self, earlier: &BufferStats) -> BufferStats {
-        BufferStats {
-            privatized: self.privatized - earlier.privatized,
-            evictions: self.evictions - earlier.evictions,
-            flushes: self.flushes - earlier.flushes,
-            held_bypasses: self.held_bypasses - earlier.held_bypasses,
-        }
-    }
-
     /// Evictions per update — the conflict pressure on the bounded buffers.
     /// Zero when no updates were applied (`updates` of the enclosing run).
     #[must_use]
@@ -376,8 +350,20 @@ pub trait UpdateBackend: Send + Sync {
     }
 
     /// Reads lane `index` on behalf of worker `thread`, reducing buffered
-    /// partial updates as needed.
+    /// partial updates as needed. A backend that accounts its reads counts
+    /// the cost into worker `thread`'s block; a `thread` outside the
+    /// backend's workers (an external reader, or [`UpdateBackend::snapshot`])
+    /// is served and left uncounted.
     fn read(&self, thread: usize, index: usize) -> u64;
+
+    /// Reads lane `index` with no worker identity and returns the read's
+    /// cost uncounted, for a caller that records it into a block it owns
+    /// (the runtime's handles do). The default is a plain uncounted
+    /// [`UpdateBackend::read`] at zero cost — correct for backends whose
+    /// reads are a single store load.
+    fn read_with_cost(&self, index: usize) -> (u64, ReadCost) {
+        (self.read(usize::MAX, index), ReadCost::default())
+    }
 
     /// The relaxed read tier: lane `index`'s shared-store word plus a
     /// staleness bound, *without* reducing writer buffers (see
@@ -405,21 +391,8 @@ pub trait UpdateBackend: Send + Sync {
     }
 
     /// Every lane's value. Exact once all workers have finished and flushed.
+    /// Its reads have no owner and are not counted.
     fn snapshot(&self) -> Vec<u64>;
-
-    /// Cumulative [`ReadCost`] counters for this backend. The default is all
-    /// zeros, correct for backends whose reads are a single store load;
-    /// [`CoupBackend`] reports its reduction work here.
-    fn read_cost(&self) -> ReadCost {
-        ReadCost::default()
-    }
-
-    /// Cumulative [`BufferStats`] counters for this backend. The default is
-    /// all zeros, correct for backends without privatized buffers;
-    /// [`CoupBackend`] reports its privatization/eviction/flush work here.
-    fn buffer_stats(&self) -> BufferStats {
-        BufferStats::default()
-    }
 }
 
 /// Conventional shared-memory baseline: every update is an atomic RMW on the
@@ -523,18 +496,6 @@ struct ThreadBuffer {
     hand: AtomicUsize,
     /// LRU tick source. Owner-only.
     tick: AtomicU64,
-    /// Lines privatized (slot claims). Owner-only.
-    privatized: AtomicU64,
-    /// Dirty-victim migrations. Owner-only stores; the bump is Release and
-    /// [`CoupBackend::buffer_stats`] loads it with Acquire *before*
-    /// `privatized`, so a concurrent observer can never see an eviction
-    /// whose privatization it missed (`evictions ≤ privatized`, always).
-    evictions: AtomicU64,
-    /// Threshold + explicit drains. Owner-only.
-    flushes: AtomicU64,
-    /// Updates routed straight to the store because every victim candidate
-    /// was read-held. Owner-only.
-    held_bypasses: AtomicU64,
     /// Currently claimed (non-empty) slots — the occupancy the telemetry
     /// histogram samples at each privatization. Owner-only.
     resident: AtomicU64,
@@ -562,10 +523,6 @@ impl ThreadBuffer {
             marks: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             hand: AtomicUsize::new(0),
             tick: AtomicU64::new(0),
-            privatized: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
-            held_bypasses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
             mask: capacity - 1,
             window: PROBE_WINDOW.min(capacity),
@@ -607,20 +564,6 @@ impl ThreadBuffer {
     }
 }
 
-/// Per-thread read-cost tally, padded to its own cache line so two readers
-/// never false-share a counter word. Worker `t` usually adds to slot `t`
-/// alone, but slot 0 is shared with out-of-range callers (e.g. a snapshot
-/// from a non-worker thread), so the adds must stay `fetch_add`s;
-/// [`CoupBackend::read_cost`] folds the slots.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ReadCostCounters {
-    reads: AtomicU64,
-    buffer_words: AtomicU64,
-    retries: AtomicU64,
-    escalations: AtomicU64,
-}
-
 /// Software COUP: sparse, capacity-bounded privatized per-thread buffers
 /// absorb updates with plain stores; reads reduce on demand across the
 /// buffers of the line's *active writers* (tracked by a per-line bitmap);
@@ -632,10 +575,9 @@ pub struct CoupBackend {
     buffers: Vec<ThreadBuffer>,
     /// One `LineMeta` (writer bitmap + read-hold latch) per store shard.
     line_meta: Box<[crate::store::LineMeta]>,
-    /// One padded counter block per worker; slot `t` is written by `t` only.
-    read_costs: Box<[ReadCostCounters]>,
-    /// Histogram registry + trace rings, shared with the owning runtime (or
-    /// private to this backend when constructed standalone).
+    /// Counter blocks (worker `t` bumps block `t`), histograms and trace
+    /// rings, shared with the owning runtime (or private to this backend
+    /// when constructed standalone).
     telemetry: Arc<TelemetryRegistry>,
     geometry: LaneGeometry,
     flush_threshold: u32,
@@ -732,7 +674,8 @@ impl CoupBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`].
+    /// Panics if `threads` is zero or exceeds [`MAX_COUP_THREADS`], or if
+    /// `telemetry` has fewer worker blocks than `threads`.
     #[must_use]
     pub fn with_telemetry(
         op: CommutativeOp,
@@ -746,6 +689,10 @@ impl CoupBackend {
         assert!(
             threads <= MAX_COUP_THREADS,
             "CoupBackend supports at most {MAX_COUP_THREADS} workers (one writer-bitmap bit each)"
+        );
+        assert!(
+            telemetry.workers().len() >= threads,
+            "the telemetry registry needs a worker block per backend worker"
         );
         let store = SharedStore::new(op, len);
         let geometry = store.geometry();
@@ -763,7 +710,6 @@ impl CoupBackend {
             line_meta: (0..num_lines)
                 .map(|_| crate::store::LineMeta::default())
                 .collect(),
-            read_costs: (0..threads).map(|_| ReadCostCounters::default()).collect(),
             telemetry,
             geometry,
             flush_threshold: flush_threshold.max(1),
@@ -771,10 +717,18 @@ impl CoupBackend {
         }
     }
 
-    /// The telemetry registry this backend records into.
+    /// The telemetry registry this backend records into; its
+    /// [`metrics`](TelemetryRegistry::metrics) fold carries the backend's
+    /// [`ReadCost`] and [`BufferStats`] counters.
     #[must_use]
     pub fn telemetry(&self) -> &Arc<TelemetryRegistry> {
         &self.telemetry
+    }
+
+    /// Worker `thread`'s counter block (the caller holds that identity).
+    #[inline]
+    fn block(&self, thread: usize) -> &Block {
+        &self.telemetry.workers()[thread]
     }
 
     /// Number of privatized worker buffers.
@@ -820,6 +774,7 @@ impl CoupBackend {
     /// [`CoupBackend::update`]). Owner-only.
     fn privatize(&self, thread: usize, line: usize) -> Option<usize> {
         let buf = &self.buffers[thread];
+        let block = self.block(thread);
         for i in 0..buf.window {
             let idx = (line + i) & buf.mask;
             if buf.tags[idx].load(Ordering::Relaxed) == EMPTY_TAG {
@@ -827,34 +782,27 @@ impl CoupBackend {
                 // slot's identity-initialised words.
                 // ord: buffer-tag-publish
                 buf.tags[idx].store(tag_of(line), Ordering::Release);
-                buf.privatized.store(
-                    buf.privatized.load(Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
+                block.privatized.add(1);
                 let resident = buf.resident.load(Ordering::Relaxed) + 1;
                 buf.resident.store(resident, Ordering::Relaxed);
-                self.telemetry.record_occupancy(thread, resident);
+                self.telemetry.record(block, hist::OCCUPANCY, resident);
                 self.telemetry.trace(thread, TraceKind::Privatize, line);
                 return Some(idx);
             }
         }
         let idx = self.choose_victim(thread, line)?;
         // Count the claim *before* the eviction below: the eviction bump is
-        // Release and the stats fold loads `evictions` with Acquire first,
-        // so no observer — however racy — can see `evictions > privatized`.
-        buf.privatized.store(
-            buf.privatized.load(Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
+        // a Release publish and the stats fold loads `evictions` with
+        // Acquire first, so no observer — however racy — can see
+        // `evictions > privatized`.
+        block.privatized.add(1);
         if buf.pending[idx].load(Ordering::Relaxed) > 0 {
             // Dirty victim: migrate its delta into the store under an odd
             // epoch, retiring its writer bit, then re-tag — the software
             // U-state eviction.
             let victim_line = (buf.tags[idx].load(Ordering::Relaxed) - 1) as usize;
             self.migrate_slot(thread, idx, Some(line));
-            buf.evictions
-                // ord: evict-stats
-                .store(buf.evictions.load(Ordering::Relaxed) + 1, Ordering::Release);
+            block.evictions.add_release(1);
             self.telemetry.trace(thread, TraceKind::Evict, victim_line);
         } else {
             // Clean victim: its words are already at identity and its writer
@@ -867,8 +815,8 @@ impl CoupBackend {
             // ord: buffer-tag-publish
             buf.tags[idx].store(tag_of(line), Ordering::Release);
         }
-        self.telemetry
-            .record_occupancy(thread, buf.resident.load(Ordering::Relaxed));
+        let resident = buf.resident.load(Ordering::Relaxed);
+        self.telemetry.record(block, hist::OCCUPANCY, resident);
         self.telemetry.trace(thread, TraceKind::Privatize, line);
         Some(idx)
     }
@@ -991,7 +939,8 @@ impl CoupBackend {
         // this Release; the torn-read model test catches a reader that
         // validates against the new epoch while folding stale words.
         epoch.store(epoch.load(Ordering::Relaxed).wrapping_add(1), EPOCH_PUBLISH);
-        self.telemetry.record_flush_words(thread, applied as u64);
+        self.telemetry
+            .record(self.block(thread), hist::FLUSH_WORDS, applied as u64);
     }
 
     /// One optimistic reduction pass over `slot`'s line: snapshot the writer
@@ -1071,7 +1020,7 @@ impl CoupBackend {
         Some(value)
     }
 
-    /// Escalation path of [`CoupBackend::read`]: after [`READ_RETRY_LIMIT`]
+    /// Escalation path of [`CoupBackend::reduce`]: after [`READ_RETRY_LIMIT`]
     /// optimistic passes were invalidated by racing migrations, register a
     /// read hold on the line so workers stop starting migrations of it —
     /// threshold flushes defer (workers keep buffering, which is always
@@ -1112,8 +1061,8 @@ impl CoupBackend {
     }
 
     /// Test/sanitizer hook: run a read through the escalation path
-    /// unconditionally. The hold protocol only engages after
-    /// [`READ_RETRY_LIMIT`] invalidated optimistic passes — timing no
+    /// unconditionally (and uncounted). The hold protocol only engages
+    /// after [`READ_RETRY_LIMIT`] invalidated optimistic passes — timing no
     /// deterministic test can force — so the sanitizer battery uses this to
     /// drive the `read-hold` sites and prove their ordering contract on
     /// real threads.
@@ -1125,6 +1074,42 @@ impl CoupBackend {
             ..ReadCost::default()
         };
         self.reduce_with_hold(thread, slot, index, &mut cost)
+    }
+
+    /// The exact read: returns lane `index`'s value and what the reduction
+    /// cost, recording nothing — the caller records the cost into the block
+    /// it owns. `thread` only names the trace ring an escalation lands in.
+    ///
+    /// On-demand reduction: global value ∘ the buffered partial of each
+    /// *active writer* of the line, per the writer bitmap — O(active
+    /// writers), not O(threads). A concurrent migration moves a delta from
+    /// a buffer into the store; reading the store before the reduce and the
+    /// buffer after the swap would observe the delta in *neither* place.
+    /// The per-slot seqlock epochs plus the tag and bitmap rechecks rule
+    /// that out (see [`CoupBackend::try_reduce`] for the proof), and the
+    /// retry loop is bounded: after [`READ_RETRY_LIMIT`] invalidated passes
+    /// the reader escalates to a flush-deferring hold that forces the line
+    /// quiescent instead of spinning forever.
+    fn reduce(&self, thread: usize, index: usize) -> (u64, ReadCost) {
+        debug_assert!(index < self.store.len());
+        let slot = self.geometry.slot(index);
+        let mut cost = ReadCost {
+            reads: 1,
+            ..ReadCost::default()
+        };
+        let mut attempts = 0u32;
+        let value = loop {
+            if let Some(value) = self.try_reduce(slot, index, &mut cost) {
+                break value;
+            }
+            cost.retries += 1;
+            attempts += 1;
+            if attempts >= READ_RETRY_LIMIT {
+                break self.reduce_with_hold(thread, slot, index, &mut cost);
+            }
+            crate::sync::hint::spin_loop();
+        };
+        (value, cost)
     }
 }
 
@@ -1160,10 +1145,7 @@ impl UpdateBackend for CoupBackend {
                     // store-visible immediately, needs no writer bit, and
                     // folds with any buffered partials in any order.
                     self.store.rmw_lane(index, value);
-                    buf.held_bypasses.store(
-                        buf.held_bypasses.load(Ordering::Relaxed) + 1,
-                        Ordering::Relaxed,
-                    );
+                    self.block(thread).held_bypasses.add(1);
                     self.telemetry
                         .trace(thread, TraceKind::HeldBypass, slot.line);
                     return;
@@ -1222,56 +1204,23 @@ impl UpdateBackend for CoupBackend {
                 || count >= self.flush_threshold.saturating_mul(HOLD_DEFER_FACTOR))
         {
             self.migrate_slot(thread, idx, None);
-            buf.flushes
-                .store(buf.flushes.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            self.block(thread).flushes.add(1);
             self.telemetry.trace(thread, TraceKind::Flush, slot.line);
         }
     }
 
     fn read(&self, thread: usize, index: usize) -> u64 {
-        debug_assert!(index < self.store.len());
-        let slot = self.geometry.slot(index);
-        // On-demand reduction: global value ∘ the buffered partial of each
-        // *active writer* of the line, per the writer bitmap — O(active
-        // writers), not O(threads). A concurrent migration moves a delta
-        // from a buffer into the store; reading the store before the reduce
-        // and the buffer after the swap would observe the delta in *neither*
-        // place. The per-slot seqlock epochs plus the tag and bitmap
-        // rechecks rule that out (see [`CoupBackend::try_reduce`] for the
-        // proof), and the retry loop is bounded: after [`READ_RETRY_LIMIT`]
-        // invalidated passes the reader escalates to a flush-deferring hold
-        // that forces the line quiescent instead of spinning forever.
-        let mut cost = ReadCost {
-            reads: 1,
-            ..ReadCost::default()
-        };
-        let mut attempts = 0u32;
-        let value = loop {
-            if let Some(value) = self.try_reduce(slot, index, &mut cost) {
-                break value;
-            }
-            cost.retries += 1;
-            attempts += 1;
-            if attempts >= READ_RETRY_LIMIT {
-                break self.reduce_with_hold(thread, slot, index, &mut cost);
-            }
-            crate::sync::hint::spin_loop();
-        };
-        // Owner-only slot (shared slot 0 absorbs out-of-range callers, e.g.
-        // a snapshot taken from a non-worker thread; fetch_add keeps that
-        // safe), so the tallies stay off other readers' cache lines.
-        let counters = self.read_costs.get(thread).unwrap_or(&self.read_costs[0]);
-        counters.reads.fetch_add(cost.reads, Ordering::Relaxed);
-        counters
-            .buffer_words
-            .fetch_add(cost.buffer_words, Ordering::Relaxed);
-        counters.retries.fetch_add(cost.retries, Ordering::Relaxed);
-        counters
-            .escalations
-            .fetch_add(cost.escalations, Ordering::Relaxed);
-        self.telemetry
-            .record_read(thread, cost.buffer_words, cost.retries);
+        let (value, cost) = self.reduce(thread, index);
+        // Counted into the caller's own worker block: no shared line, no
+        // lock prefix. A reader with no worker identity counts nothing.
+        if let Some(block) = self.telemetry.workers().get(thread) {
+            self.telemetry.record_read(block, &cost);
+        }
         value
+    }
+
+    fn read_with_cost(&self, index: usize) -> (u64, ReadCost) {
+        self.reduce(usize::MAX, index)
     }
 
     /// The relaxed tier: the store word plus the outstanding buffered-delta
@@ -1315,7 +1264,9 @@ impl UpdateBackend for CoupBackend {
             // is guaranteed visible in the store load below.
         }
         let value = self.store.load_lane(index);
-        self.telemetry.record_stale_read(thread, staleness);
+        if let Some(block) = self.telemetry.workers().get(thread) {
+            self.telemetry.record(block, hist::STALENESS, staleness);
+        }
         StaleRead { value, staleness }
     }
 
@@ -1325,8 +1276,7 @@ impl UpdateBackend for CoupBackend {
             if buf.pending[idx].load(Ordering::Relaxed) > 0 {
                 let line = (buf.tags[idx].load(Ordering::Relaxed) - 1) as usize;
                 self.migrate_slot(thread, idx, None);
-                buf.flushes
-                    .store(buf.flushes.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                self.block(thread).flushes.add(1);
                 self.telemetry.trace(thread, TraceKind::Flush, line);
             }
         }
@@ -1338,51 +1288,18 @@ impl UpdateBackend for CoupBackend {
         // single-writer invariant of `update` if a worker were still running
         // (its plain store could resurrect an already-reduced delta). This
         // way a mid-run snapshot is merely possibly stale, and a quiescent
-        // one is exact whether or not anyone flushed.
+        // one is exact whether or not anyone flushed. The calling thread
+        // owns no worker block, so the reads go uncounted.
         (0..self.store.len())
-            .map(|index| self.read(0, index))
+            .map(|index| self.reduce(usize::MAX, index).0)
             .collect()
-    }
-
-    fn read_cost(&self) -> ReadCost {
-        let mut total = ReadCost::default();
-        for counters in &self.read_costs {
-            total.merge(&ReadCost {
-                reads: counters.reads.load(Ordering::Relaxed),
-                buffer_words: counters.buffer_words.load(Ordering::Relaxed),
-                retries: counters.retries.load(Ordering::Relaxed),
-                escalations: counters.escalations.load(Ordering::Relaxed),
-            });
-        }
-        total
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        let mut total = BufferStats::default();
-        for buf in &self.buffers {
-            // Acquire the eviction count *before* loading `privatized`: the
-            // owner bumps `privatized` first and publishes the eviction with
-            // Release, so every eviction this load observes has its claim in
-            // the `privatized` load below — `evictions ≤ privatized` holds
-            // for any observer, mid-run included. Mutation lane weakens
-            // this Acquire; the stats-invariant model test catches the
-            // `evictions > privatized` observation that admits.
-            // ord: evict-stats
-            let evictions = buf.evictions.load(EVICTION_FOLD);
-            total.merge(&BufferStats {
-                privatized: buf.privatized.load(Ordering::Relaxed),
-                evictions,
-                flushes: buf.flushes.load(Ordering::Relaxed),
-                held_bypasses: buf.held_bypasses.load(Ordering::Relaxed),
-            });
-        }
-        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::MetricsSnapshot;
 
     /// Iteration multiplier for the concurrency stress tests: 1 normally, 8
     /// when `COUP_STRESS` is set (the CI release stress lane).
@@ -1400,6 +1317,16 @@ mod tests {
         )
     }
 
+    /// The backend's buffer counters, folded from its worker blocks.
+    fn stats_of(b: &CoupBackend) -> BufferStats {
+        b.telemetry().metrics().buffer_stats
+    }
+
+    /// The backend's counted read costs, folded from its worker blocks.
+    fn cost_of(b: &CoupBackend) -> ReadCost {
+        b.telemetry().metrics().read_cost
+    }
+
     /// Slot index of `line` in `thread`'s buffer, which must exist.
     fn slot_of(b: &CoupBackend, thread: usize, line: usize) -> usize {
         b.buffers[thread]
@@ -1415,7 +1342,7 @@ mod tests {
         assert_eq!(b.read(0, 3), 12);
         assert_eq!(b.update_read(0, 3, 1), 13);
         assert_eq!(b.snapshot()[3], 13);
-        assert_eq!(b.buffer_stats(), BufferStats::default());
+        assert_eq!(b.read_with_cost(3), (13, ReadCost::default()));
     }
 
     #[test]
@@ -1442,7 +1369,7 @@ mod tests {
         b.update(0, 0, 1);
         assert_eq!(b.store().load_lane(0), 4, "below threshold stays private");
         assert_eq!(b.read(1, 0), 5);
-        assert_eq!(b.buffer_stats().flushes, 1);
+        assert_eq!(stats_of(&b).flushes, 1);
     }
 
     #[test]
@@ -1537,7 +1464,7 @@ mod tests {
                     "final state mismatch at capacity {capacity} ({policy:?})"
                 );
                 assert!(
-                    coup.buffer_stats().evictions > 0,
+                    stats_of(&coup).evictions > 0,
                     "capacity {capacity} over 4 lines must evict"
                 );
             }
@@ -1585,7 +1512,7 @@ mod tests {
         );
         assert_eq!(b.read(1, 0), 5);
         assert_eq!(b.read(1, lanes_per_line), 7);
-        let stats = b.buffer_stats();
+        let stats = stats_of(&b);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.privatized, 2);
     }
@@ -1604,13 +1531,13 @@ mod tests {
         );
         b.update(0, 0, 3);
         b.flush(0); // line 0's slot is now clean but still tagged
-        assert_eq!(b.buffer_stats().flushes, 1);
+        assert_eq!(stats_of(&b).flushes, 1);
         b.update(0, lanes_per_line, 9); // claims the slot from clean line 0
-        let stats = b.buffer_stats();
+        let stats = stats_of(&b);
         assert_eq!(stats.evictions, 0, "clean displacement is not an eviction");
         assert_eq!(stats.privatized, 2);
         b.update(0, 0, 4); // line 0 comes back, evicting dirty line 1
-        assert_eq!(b.buffer_stats().evictions, 1);
+        assert_eq!(stats_of(&b).evictions, 1);
         assert_eq!(b.read(0, 0), 7);
         assert_eq!(b.read(0, lanes_per_line), 9);
     }
@@ -1627,7 +1554,7 @@ mod tests {
         for i in 0..1024 {
             b.update(0, i, i as u64);
         }
-        assert_eq!(b.buffer_stats().evictions, 0);
+        assert_eq!(stats_of(&b).evictions, 0);
         assert_eq!(b.capacity_lines(), b.store().num_lines());
         for i in (0..1024).step_by(97) {
             assert_eq!(b.read(1, i), i as u64);
@@ -1775,7 +1702,7 @@ mod tests {
         // direct store RMW (after a bypass the resident line is unchanged,
         // so the following update to it is a hit — hence ≥, not ==, on the
         // sum, and no tight bound on evictions alone).
-        let stats = coup.buffer_stats();
+        let stats = stats_of(&coup);
         assert!(
             stats.evictions > 0,
             "alternating lines at capacity 1 must evict"
@@ -1794,12 +1721,12 @@ mod tests {
         for threads in [2usize, 8, 32, MAX_COUP_THREADS] {
             let b = CoupBackend::new(CommutativeOp::AddU64, 8, threads);
             b.update(0, 3, 5); // thread 0 is the line's only active writer
-            let before = b.read_cost();
+            let before = b.telemetry().metrics();
             let reads = 100u64;
             for _ in 0..reads {
                 assert_eq!(b.read(threads - 1, 3), 5);
             }
-            let cost = b.read_cost().since(&before);
+            let cost = b.telemetry().metrics().since(&before).read_cost;
             assert_eq!(cost.reads, reads, "{threads} threads");
             assert_eq!(
                 cost.buffer_words, reads,
@@ -1816,25 +1743,39 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(b.read(1, 5), 0);
         }
-        assert_eq!(b.read_cost().buffer_words, 0);
-        assert_eq!(b.read_cost().reads, 10);
+        assert_eq!(cost_of(&b).buffer_words, 0);
+        assert_eq!(cost_of(&b).reads, 10);
     }
 
     #[test]
-    fn read_cost_tracks_active_writers_not_threads() {
+    fn exact_read_cost_tracks_active_writers_not_threads() {
         let threads = 32;
         let b = CoupBackend::new(CommutativeOp::AddU64, 8, threads);
         for t in [0usize, 5, 9] {
             b.update(t, 2, 1);
         }
-        let before = b.read_cost();
+        let before = b.telemetry().metrics();
         assert_eq!(b.read(31, 2), 3);
-        assert_eq!(b.read_cost().since(&before).buffer_words, 3);
+        assert_eq!(
+            b.telemetry()
+                .metrics()
+                .since(&before)
+                .read_cost
+                .buffer_words,
+            3
+        );
         // A flush retires a writer from the bitmap; the next read pays less.
         b.flush(5);
-        let before = b.read_cost();
+        let before = b.telemetry().metrics();
         assert_eq!(b.read(31, 2), 3);
-        assert_eq!(b.read_cost().since(&before).buffer_words, 2);
+        assert_eq!(
+            b.telemetry()
+                .metrics()
+                .since(&before)
+                .read_cost
+                .buffer_words,
+            2
+        );
     }
 
     #[test]
@@ -1941,13 +1882,13 @@ mod tests {
         for t in 0..8 {
             b.update(t, 3, 1);
         }
-        let before = b.read_cost();
+        let before = b.telemetry().metrics();
         for _ in 0..100 {
             let stale = b.read_stale(0, 3);
             assert_eq!((stale.value, stale.staleness), (0, 8));
         }
         assert_eq!(
-            b.read_cost().since(&before),
+            b.telemetry().metrics().since(&before).read_cost,
             ReadCost::default(),
             "stale reads are invisible to the exact-read cost counters"
         );
@@ -2034,15 +1975,50 @@ mod tests {
         );
         assert_eq!(b.store().load_lane(0), 0, "held delta stays buffered");
         assert_eq!(b.read(1, 0), 5, "held line still reduces correctly");
-        let stats = b.buffer_stats();
+        let stats = stats_of(&b);
         assert_eq!(stats.held_bypasses, 1);
         assert_eq!(stats.evictions, 0);
         b.line_meta[0].read_holds.fetch_sub(1, Ordering::AcqRel); // ord: read-hold
                                                                   // Hold released: line 1 privatizes normally again, evicting line 0.
         b.update(0, lanes_per_line, 1);
         assert_eq!(b.read(1, lanes_per_line), 8);
-        assert_eq!(b.buffer_stats().evictions, 1);
+        assert_eq!(stats_of(&b).evictions, 1);
         assert_eq!(b.read(1, 0), 5);
+    }
+
+    /// The accounting contract: a read counts into the reader's own worker
+    /// block and no other, and a read with no worker identity — an
+    /// external reader, or the snapshot — is served and counts nothing.
+    #[test]
+    fn reads_count_into_the_readers_own_block_or_nowhere() {
+        let b = CoupBackend::new(CommutativeOp::AddU64, 8, 4);
+        b.update(0, 3, 5);
+        b.update(1, 3, 2);
+        for _ in 0..10 {
+            assert_eq!(b.read(2, 3), 7);
+        }
+        let blocks = b.telemetry().workers();
+        let reads: Vec<u64> = blocks.iter().map(|block| block.reads.get()).collect();
+        assert_eq!(reads, [0, 0, 10, 0]);
+        assert_eq!(blocks[2].buffer_words.get(), 20, "two writers per read");
+        let before = b.telemetry().metrics();
+        assert_eq!(b.read(usize::MAX, 3), 7);
+        assert_eq!(b.read_stale(usize::MAX, 3).staleness, 2);
+        assert_eq!(b.snapshot()[3], 7);
+        let (value, cost) = b.read_with_cost(3);
+        assert_eq!(value, 7);
+        assert_eq!(
+            (cost.reads, cost.buffer_words),
+            (1, 2),
+            "the cost is returned"
+        );
+        let mut delta = b.telemetry().metrics().since(&before);
+        delta.uptime_ns = 0;
+        assert_eq!(
+            delta,
+            MetricsSnapshot::default(),
+            "reads with no owner count nothing"
+        );
     }
 
     #[test]

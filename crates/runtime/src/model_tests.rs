@@ -16,8 +16,8 @@
 //!
 //! Each protocol test is paired with a **mutation check**: under
 //! `--cfg coup_model_mutation` one named ordering per protocol is weakened
-//! to `Relaxed` (`EPOCH_PUBLISH`, `WRITER_RETIRE`, `EVICTION_FOLD` in
-//! `backend.rs`; `TICKET_PUBLISH` in `trace.rs`; `RING_PUBLISH`,
+//! to `Relaxed` (`EPOCH_PUBLISH`, `WRITER_RETIRE` in `backend.rs`;
+//! `EVICTION_FOLD` in `telemetry.rs`; `TICKET_PUBLISH` in `trace.rs`; `RING_PUBLISH`,
 //! `SHARD_RETIRE`, `WAKE_PUBLISH`, `QUIESCE_PUBLISH` in `ring.rs`), and
 //! the test below that names it must *fail* — CI's mutation lane asserts
 //! exactly that, proving these tests have teeth rather than passing
@@ -28,7 +28,8 @@
 //! end-to-end shutdown test and the parker close test carry no ordering
 //! mutation of their own; their teeth are the model's *deadlock detector*,
 //! exercised by the shim's own
-//! `missed_condvar_wakeup_is_reported_as_deadlock` self-test.
+//! `missed_condvar_wakeup_is_reported_as_deadlock` self-test. The counter
+//! pool's hand-off carries none either: its edge is the pool mutex.
 
 use std::sync::Arc;
 
@@ -126,14 +127,15 @@ fn bitmap_retire_publishes_the_reduce_it_promises() {
         assert!(r2 >= r1, "non-monotone reads: {r1} then {r2}");
         writer.join().unwrap();
         assert_eq!(backend.read(1, 0), 3);
-        assert_eq!(backend.buffer_stats().flushes, 1);
+        assert_eq!(backend.telemetry().metrics().buffer_stats.flushes, 1);
     });
 }
 
 /// Protocol 3 — the eviction handshake: `privatized` is bumped *before* a
 /// dirty victim's migration and the eviction count is published with
-/// Release after it, so `evictions ≤ privatized` must hold for any
-/// observer, however racy. A capacity-1 buffer plus an update to a second
+/// Release after it (both in the owner's worker block), so `evictions ≤
+/// privatized` must hold for any observer of the registry fold, however
+/// racy. A capacity-1 buffer plus an update to a second
 /// line forces exactly one dirty eviction (the software U-state eviction).
 ///
 /// Mutation pairing: `EVICTION_FOLD` (the Acquire on the stats fold's
@@ -142,7 +144,7 @@ fn bitmap_retire_publishes_the_reduce_it_promises() {
 /// `privatized` load may return stale 0 — `1 ≤ 0` fails. (The publish side
 /// is the one edge whose weakening is *not* observable: the migrate fence
 /// already orders the bump before it, which is why the mutation attacks the
-/// fold side — see the constant's comment in `backend.rs`.)
+/// fold side — see the constant's comment in `telemetry.rs`.)
 #[test]
 fn eviction_count_never_exceeds_privatized_for_any_observer() {
     loom::model(|| {
@@ -154,7 +156,7 @@ fn eviction_count_never_exceeds_privatized_for_any_observer() {
                 b.update(0, 8, 1); // line 1: evicts dirty line 0
             })
         };
-        let stats = backend.buffer_stats();
+        let stats = backend.telemetry().metrics().buffer_stats;
         assert!(
             stats.evictions <= stats.privatized,
             "observed {} evictions with only {} privatizations",
@@ -162,7 +164,7 @@ fn eviction_count_never_exceeds_privatized_for_any_observer() {
             stats.privatized
         );
         writer.join().unwrap();
-        let quiesced = backend.buffer_stats();
+        let quiesced = backend.telemetry().metrics().buffer_stats;
         assert_eq!(quiesced.privatized, 2);
         assert_eq!(quiesced.evictions, 1);
         // The evicted line's delta migrated; the resident line still folds.
@@ -436,5 +438,47 @@ fn drain_quiesce_makes_applied_work_visible() {
         for worker in workers {
             worker.join().unwrap();
         }
+    });
+}
+
+/// Protocol 10 — the counter pool's hand-off: a handle's counter block is
+/// bumped with a relaxed load plus a relaxed store, which is sound only
+/// while it has one writer, and successive owners are ordered by nothing
+/// but the registry's pool mutex (`lend` pops under it, `give_back` pushes
+/// under it). Two owners each take a pooled block, bump it once and give
+/// it back while an observer folds the registry twice.
+///
+/// Where the second owner takes the block the first gave back, its load
+/// must see the first bump — a stale load would store 1 over 1 and lose a
+/// count — and an observer must never see a count go backwards. Either
+/// way the final fold is exactly 2. No mutation pairs with this test: the
+/// edge is the mutex's own, with no ordering constant to weaken.
+#[test]
+fn pooled_block_hand_off_never_loses_or_rewinds_a_count() {
+    loom::model(|| {
+        let registry = Arc::new(TelemetryRegistry::new(1, TelemetryConfig::disabled()));
+        // One block in the pool up front, so the owners contend for it.
+        let block = registry.lend();
+        registry.give_back(block);
+        let owners: Vec<_> = (0..2)
+            .map(|_| {
+                let registry = Arc::clone(&registry);
+                thread::spawn(move || {
+                    let block = registry.lend();
+                    block.handle_reads.add(1);
+                    registry.give_back(block);
+                })
+            })
+            .collect();
+        let first = registry.metrics().handle_reads;
+        let second = registry.metrics().handle_reads;
+        assert!(
+            first <= second,
+            "count went backwards: {first} then {second}"
+        );
+        for owner in owners {
+            owner.join().unwrap();
+        }
+        assert_eq!(registry.metrics().handle_reads, 2, "a bump was lost");
     });
 }

@@ -74,6 +74,7 @@
 use crate::sync;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, MutexGuard};
+use std::cell::OnceCell;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -81,13 +82,12 @@ use std::time::{Duration, Instant};
 use coup_protocol::ops::CommutativeOp;
 
 use crate::backend::{
-    AtomicBackend, BufferConfig, BufferStats, CoupBackend, ReadCost, StaleRead, UpdateBackend,
-    DEFAULT_FLUSH_THRESHOLD,
+    AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
 use crate::engine::Engine;
 use crate::harness::ThroughputReport;
 use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH};
-use crate::telemetry::{MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
+use crate::telemetry::{hist, Block, MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
 use crate::trace::TraceKind;
 
 pub use crate::ring::ShardStat;
@@ -292,8 +292,6 @@ impl RuntimeBuilder {
             pause_acks: AtomicU64::new(0),
             batch_capacity: self.batch_capacity.max(1),
             workers: self.workers,
-            handle_reads: AtomicU64::new(0),
-            stale_reads: AtomicU64::new(0),
             telemetry,
             epoch: Instant::now(),
         });
@@ -341,12 +339,8 @@ struct Shared {
     pause_acks: AtomicU64,
     batch_capacity: usize,
     workers: usize,
-    /// Reads served through handles (the runtime's synchronous read path).
-    handle_reads: AtomicU64,
-    /// Relaxed-tier reads served through the facade
-    /// ([`CoupRuntime::read_stale`] and the handles' stale variants).
-    stale_reads: AtomicU64,
-    /// The metrics registry + trace rings, shared with the backend.
+    /// The counter blocks, histograms and trace rings, shared with the
+    /// backend.
     telemetry: Arc<TelemetryRegistry>,
     /// Base instant for the nanosecond timestamps in the shard slots'
     /// `last_publish_ns` (the dwell metric's clock).
@@ -379,6 +373,7 @@ impl Shared {
     /// park on the empty edge, flush and exit once the runtime closes *and*
     /// quiesces. Returns the number of updates this worker applied.
     fn drain_loop(&self, worker: usize) -> u64 {
+        let block = &self.telemetry.workers()[worker];
         let mut cache = ShardCache::default();
         let mut applied_here = 0u64;
         loop {
@@ -399,7 +394,8 @@ impl Shared {
                 &mut |_slot, lane, value| self.backend.update(worker, lane, value),
                 &mut |slot, count, publish_ns| {
                     let dwell_us = self.now_ns().saturating_sub(publish_ns) / 1_000;
-                    self.telemetry.record_queue_pop(worker, count, dwell_us);
+                    self.telemetry.record(block, hist::BATCH_SIZE, count);
+                    self.telemetry.record(block, hist::QUEUE_DWELL_US, dwell_us);
                     self.telemetry.trace(worker, TraceKind::ShardDrain, slot);
                 },
             );
@@ -426,8 +422,8 @@ impl Shared {
                 self.idle.notify();
                 return applied_here;
             }
-            match self.wake[worker].park(status, || self.telemetry.record_park(worker)) {
-                ParkResult::Slept => self.telemetry.record_unpark(worker),
+            match self.wake[worker].park(status, || self.telemetry.record_park(block, worker)) {
+                ParkResult::Slept => self.telemetry.record_unpark(block, worker),
                 ParkResult::Moved => {}
             }
         }
@@ -436,8 +432,12 @@ impl Shared {
     /// Where a worker sits out a [`CoupRuntime::run_workers`] job: announce
     /// the pause was observed, then park until resumed (or closed). The job
     /// starts only after *every* worker acknowledged, which is what makes
-    /// the buffer ownership hand-off sound without a queue lock.
+    /// the buffer ownership hand-off sound without a queue lock. The job
+    /// thread holding this identity then bumps the worker block; the only
+    /// words this worker still writes meanwhile are its park counts, which
+    /// job threads never touch.
     fn pause_gate(&self, worker: usize) {
+        let block = &self.telemetry.workers()[worker];
         self.pause_acks.fetch_add(1, Ordering::Relaxed);
         self.pause_done.notify();
         loop {
@@ -449,9 +449,9 @@ impl Shared {
             }
             match self
                 .resume
-                .park(status, || self.telemetry.record_park(worker))
+                .park(status, || self.telemetry.record_park(block, worker))
             {
-                ParkResult::Slept => self.telemetry.record_unpark(worker),
+                ParkResult::Slept => self.telemetry.record_unpark(block, worker),
                 ParkResult::Moved => {}
             }
         }
@@ -474,33 +474,32 @@ impl Shared {
         }
     }
 
-    fn read(&self, lane: usize) -> u64 {
-        self.handle_reads.fetch_add(1, Ordering::Relaxed);
-        // usize::MAX lands in the backend's shared out-of-band cost slot —
-        // handle readers are not workers and own no counter block.
-        self.backend.read(usize::MAX, lane)
+    /// An exact read with no worker identity, counted into `block` — the
+    /// caller's own: the backend returns the reduction's cost instead of
+    /// recording it.
+    fn read(&self, block: &Block, lane: usize) -> u64 {
+        let (value, cost) = self.backend.read_with_cost(lane);
+        block.handle_reads.add(1);
+        self.telemetry.record_read(block, &cost);
+        value
     }
 
-    fn read_stale(&self, lane: usize) -> StaleRead {
-        self.stale_reads.fetch_add(1, Ordering::Relaxed);
-        self.backend.read_stale(usize::MAX, lane)
+    /// A relaxed-tier read with no worker identity, counted into `block`.
+    fn read_stale(&self, block: &Block, lane: usize) -> StaleRead {
+        let stale = self.backend.read_stale(usize::MAX, lane);
+        block.stale_reads.add(1);
+        self.telemetry
+            .record(block, hist::STALENESS, stale.staleness);
+        stale
     }
 
-    /// Assembles a full [`MetricsSnapshot`]: submission counters, the
-    /// backend's per-worker counter folds, and the registry's histograms and
-    /// trace totals. No stop-the-world — workers keep running while this
-    /// sums their blocks.
+    /// Assembles a full [`MetricsSnapshot`]: the registry's fold of every
+    /// counter block plus the submission counters. No stop-the-world —
+    /// workers and handles keep running while this sums their blocks.
     fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
-            updates_submitted: self.submitted.load(Ordering::Relaxed) & SUBMIT_MASK,
-            updates_applied: self.applied.load(Ordering::Relaxed),
-            handle_reads: self.handle_reads.load(Ordering::Relaxed),
-            stale_reads: self.stale_reads.load(Ordering::Relaxed),
-            read_cost: self.backend.read_cost(),
-            buffer_stats: self.backend.buffer_stats(),
-            ..MetricsSnapshot::default()
-        };
-        self.telemetry.fill(&mut snap);
+        let mut snap = self.telemetry.metrics();
+        snap.updates_submitted = self.submitted.load(Ordering::Relaxed) & SUBMIT_MASK;
+        snap.updates_applied = self.applied.load(Ordering::Relaxed);
         snap
     }
 }
@@ -551,6 +550,14 @@ impl TelemetryHandle {
 ///
 /// A `Submitter` is write-only; [`LaneHandle`] adds the synchronous read
 /// path, and [`CounterHandle`] adds operation typing on top of that.
+///
+/// Handles are `Send` but not `Sync`: each owns a counter block that one
+/// thread at a time bumps without a lock prefix.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<coup_runtime::LaneHandle>();
+/// ```
 #[derive(Debug)]
 pub struct Submitter {
     shared: Arc<Shared>,
@@ -558,6 +565,10 @@ pub struct Submitter {
     /// The claimed shard slot + ring, lazily acquired on the first flush so
     /// read-mostly handles never occupy a slot.
     shard: Option<ShardGrant>,
+    /// This handle's counter block, lent by the registry's pool on the
+    /// first read or full-ring park and given back on drop. The `OnceCell`
+    /// makes the handle `!Sync`, so the block has one writer.
+    block: OnceCell<Arc<Block>>,
     /// Producer mirror of the ring's tail cursor (its next write position).
     tail: u64,
     /// Last observed consumer cursor — refreshed only when the mirror says
@@ -572,9 +583,15 @@ impl Submitter {
             shared,
             batch: Vec::with_capacity(capacity),
             shard: None,
+            block: OnceCell::new(),
             tail: 0,
             head_cache: 0,
         }
+    }
+
+    /// This handle's counter block, lent by the pool on first use.
+    fn block(&self) -> &Block {
+        self.block.get_or_init(|| self.shared.telemetry.lend())
     }
 
     /// Appends one update to the current batch; publishes the batch when it
@@ -705,8 +722,12 @@ impl Submitter {
                     break;
                 }
                 let telemetry = &self.shared.telemetry;
-                match slot.space.park(status, || telemetry.record_park(worker)) {
-                    ParkResult::Slept => telemetry.record_unpark(worker),
+                let block = self.block();
+                match slot
+                    .space
+                    .park(status, || telemetry.record_park(block, worker))
+                {
+                    ParkResult::Slept => telemetry.record_unpark(block, worker),
                     ParkResult::Moved => {}
                 }
             }
@@ -758,10 +779,14 @@ impl Drop for Submitter {
     /// Publishes the final partial batch so dropping a handle never loses
     /// updates (if the runtime already shut down the batch is discarded —
     /// flush explicitly before `shutdown()` to be certain), then retires
-    /// this producer's shard slot so its worker can recycle it.
+    /// this producer's shard slot so its worker can recycle it, and gives
+    /// its counter block back to the pool.
     fn drop(&mut self) {
         if !self.batch.is_empty() {
             self.submit(false);
+        }
+        if let Some(block) = self.block.take() {
+            self.shared.telemetry.give_back(block);
         }
         if let Some(grant) = self.shard.take() {
             self.shared.directory.retire(&grant);
@@ -773,8 +798,8 @@ impl Drop for Submitter {
 
 /// The raw (untyped) per-lane view of a runtime: batched writes via the
 /// embedded [`Submitter`], synchronous reads via the backend's
-/// O(active-writers) reduction path. Clonable and `Send` — hand one to every
-/// producer thread.
+/// O(active-writers) reduction path, counted into the handle's own block.
+/// Clonable and `Send` (not `Sync`) — hand one to every producer thread.
 #[derive(Debug, Clone)]
 pub struct LaneHandle {
     submitter: Submitter,
@@ -798,7 +823,7 @@ impl LaneHandle {
     /// [`LaneHandle::flush`] plus [`CoupRuntime::drain`].
     #[must_use]
     pub fn read(&self, lane: usize) -> u64 {
-        self.submitter.shared.read(lane)
+        self.submitter.shared.read(self.submitter.block(), lane)
     }
 
     /// Reads `lane` through the relaxed tier: the store word plus a monotone
@@ -811,7 +836,10 @@ impl LaneHandle {
         // Own updates first: every ring entry below the head this count
         // observes was applied before the backend walk below starts.
         let own = self.submitter.unapplied();
-        let mut stale = self.submitter.shared.read_stale(lane);
+        let mut stale = self
+            .submitter
+            .shared
+            .read_stale(self.submitter.block(), lane);
         stale.staleness += own;
         stale
     }
@@ -1027,9 +1055,10 @@ pub struct RuntimeResult {
     /// snapshot was taken.
     pub snapshot: Vec<u64>,
     /// Merged lifetime report: `updates` applied through the submission
-    /// frontend, `reads` served through handles, `elapsed` from build to
-    /// shutdown, plus the backend's cumulative [`ReadCost`] and
-    /// [`BufferStats`] (which also cover [`CoupRuntime::run_workers`] jobs).
+    /// frontend, `reads` served through handles and facade reads, `elapsed`
+    /// from build to shutdown, plus the lifetime [`MetricsSnapshot`] and its
+    /// read-cost and buffer counters (which also cover
+    /// [`CoupRuntime::run_workers`] jobs).
     pub report: ThroughputReport,
 }
 
@@ -1164,15 +1193,20 @@ impl CoupRuntime {
     }
 
     /// Reads `lane` synchronously on the calling thread (quiescently
-    /// consistent; see [`LaneHandle::read`]).
+    /// consistent; see [`LaneHandle::read`]), counted into a pool block
+    /// borrowed for the call.
     #[must_use]
     pub fn read(&self, lane: usize) -> u64 {
-        self.shared.read(lane)
+        let shared = &self.shared;
+        shared
+            .telemetry
+            .with_lent_block(|block| shared.read(block, lane))
     }
 
     /// Every lane's current value. Exact at quiescence (e.g. after
     /// [`CoupRuntime::drain`] with no producer holding an un-flushed batch);
-    /// concurrent activity may or may not be included.
+    /// concurrent activity may or may not be included. Its reads have no
+    /// owner and are not counted.
     #[must_use]
     pub fn snapshot(&self) -> Vec<u64> {
         self.shared.backend.snapshot()
@@ -1186,19 +1220,10 @@ impl CoupRuntime {
     /// tolerate bounded staleness never force the writers to flush.
     #[must_use]
     pub fn read_stale(&self, lane: usize) -> StaleRead {
-        self.shared.read_stale(lane)
-    }
-
-    /// Cumulative read-side cost counters of the backend.
-    #[must_use]
-    pub fn read_cost(&self) -> ReadCost {
-        self.shared.backend.read_cost()
-    }
-
-    /// Cumulative privatized-buffer counters of the backend.
-    #[must_use]
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.shared.backend.buffer_stats()
+        let shared = &self.shared;
+        shared
+            .telemetry
+            .with_lent_block(|block| shared.read_stale(block, lane))
     }
 
     /// Updates submitted and applied so far (both monotone; equal when the
@@ -1220,12 +1245,11 @@ impl CoupRuntime {
     }
 
     /// A consistent live snapshot of every runtime counter — submission
-    /// depth, backend read/buffer counters, and the telemetry registry's
-    /// histograms — assembled by summing per-worker blocks, with no
-    /// stop-the-world. Safe and meaningful mid-run: every field is
-    /// individually monotone between observations on the same runtime, so
-    /// two snapshots diff into a phase report via
-    /// [`MetricsSnapshot::since`].
+    /// depth, read-cost and buffer counters, and the histograms — assembled
+    /// by summing the worker and handle blocks, with no stop-the-world.
+    /// Safe and meaningful mid-run: every field is individually monotone
+    /// between observations on the same runtime, so two snapshots diff into
+    /// a phase report via [`MetricsSnapshot::since`].
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics()
@@ -1357,10 +1381,7 @@ impl CoupRuntime {
     pub fn shutdown(mut self) -> RuntimeResult {
         let applied = self.close_and_join(true);
         let workers = self.shared.workers;
-        let reads = self.shared.handle_reads.load(Ordering::Relaxed);
         let elapsed = self.started.elapsed();
-        // Counters before the snapshot: the verifying snapshot below would
-        // otherwise add its own per-lane reads to the tallies it reports.
         let metrics = self.shared.metrics();
         let snapshot = self.shared.backend.snapshot();
         RuntimeResult {
@@ -1368,7 +1389,7 @@ impl CoupRuntime {
             report: ThroughputReport {
                 threads: workers,
                 updates: applied,
-                reads,
+                reads: metrics.handle_reads,
                 elapsed,
                 read_cost: metrics.read_cost,
                 buffer_stats: metrics.buffer_stats,
@@ -1735,6 +1756,56 @@ mod tests {
             (metrics.staleness.count(), metrics.staleness.sum),
             (count, sum)
         );
+    }
+
+    /// The accounting contract of the facade: a handle's reads land in the
+    /// handle's own block — lent on the first read, given back on drop with
+    /// its counts kept — and no worker block's read counters move. The
+    /// snapshot's reads have no owner and count nothing.
+    #[test]
+    fn handle_reads_count_into_the_handles_own_block() {
+        fn send_only<T: Send>() {}
+        send_only::<LaneHandle>();
+        let rt = counting_runtime(8, 2, 4);
+        let mut handle = rt.handle();
+        handle.push(1, 3);
+        handle.flush();
+        rt.drain();
+        assert!(handle.submitter.block.get().is_none(), "no read, no block");
+        let reads = 25u64;
+        for _ in 0..reads {
+            assert_eq!(handle.read(1), 3);
+        }
+        let _ = handle.read_stale(1);
+        let block = handle
+            .submitter
+            .block
+            .get()
+            .expect("the first read lent one");
+        assert_eq!(block.reads.get(), reads);
+        assert_eq!(block.handle_reads.get(), reads);
+        assert_eq!(block.stale_reads.get(), 1);
+        for worker in rt.shared.telemetry.workers() {
+            assert_eq!(
+                (worker.reads.get(), worker.handle_reads.get()),
+                (0, 0),
+                "handle reads must not touch a worker block"
+            );
+        }
+        let before = rt.metrics();
+        assert_eq!(rt.snapshot()[1], 3);
+        assert_eq!(
+            rt.metrics().read_cost,
+            before.read_cost,
+            "snapshot is uncounted"
+        );
+        drop(handle);
+        let after = rt.metrics();
+        assert_eq!((after.handle_reads, after.read_cost.reads), (reads, reads));
+        // A facade read borrows the returned block and counts on from it.
+        assert_eq!(rt.read(1), 3);
+        assert_eq!(rt.metrics().handle_reads, reads + 1);
+        assert_eq!(rt.shutdown().report.reads, reads + 1);
     }
 
     #[test]

@@ -1,62 +1,71 @@
-//! Live telemetry: a lock-free per-worker metrics registry, consistent
-//! snapshots, and machine-readable exporters.
+//! Live telemetry: the runtime's one accounting path — per-owner counter
+//! blocks, consistent snapshots, and machine-readable exporters.
 //!
-//! The registry holds one cache-line-aligned block of atomic histograms per
-//! worker. Hot-path sites in `backend.rs` / `runtime.rs` bump their own
-//! block with relaxed atomics — no locks, no sharing except for block 0,
-//! which doubles as the clamp target for out-of-range recorders (external
-//! producer threads doing synchronous handle reads). Reading is a per-worker
-//! sum with no stop-the-world: [`MetricsSnapshot`] is assembled any time by
-//! folding the blocks, so every counter in it is individually monotone
-//! between observations.
+//! Every runtime counter is a commutative update, so the registry keeps
+//! them the way COUP keeps a contended lane: each owner bumps a private,
+//! cache-line-aligned block and an observer reduces the blocks on read.
+//! A block has one writer at a time, which bumps a word with a relaxed load
+//! plus a relaxed store — no lock prefix, no line shared with another
+//! writer. [`TelemetryRegistry::metrics`] folds every block into a
+//! [`MetricsSnapshot`] with no stop-the-world, so every counter in it is
+//! individually monotone between observations.
 //!
-//! The event-trace half lives in [`crate::trace`]; this module owns the
-//! sampling gate and the drain API. With the `telemetry` cargo feature
-//! disabled the registry allocates nothing and every recording call is an
-//! empty inline function — the zero-cost compile-out path — while
-//! [`MetricsSnapshot`], the [`Merge`] trait, and both exporters stay
-//! available so reports keep the same shape (histograms all zero).
+//! Who owns a block:
+//!
+//! * worker block `t` belongs to resident worker `t`, or to the job thread
+//!   holding identity `t` during a [`crate::CoupRuntime::run_workers`] job;
+//! * a submission handle takes a block from the registry's pool on its
+//!   first read or first full-ring park and hands it back on drop, and a
+//!   facade read ([`crate::CoupRuntime::read`]) borrows one for the call.
+//!   The pool mutex is the hand-off edge between successive owners, so a
+//!   recycled block keeps counting from where its last owner stopped.
+//!
+//! A read with no owner — a backend read on behalf of a thread outside
+//! `0..threads`, such as the reads [`crate::UpdateBackend::snapshot`]
+//! issues — is served and left uncounted.
+//!
+//! The plain counters (read costs, buffer life-cycle, handle and stale
+//! reads) are always kept, because every report carries them. Histograms,
+//! park counts and the event trace ([`crate::trace`]) are gated twice: the
+//! runtime kill-switch ([`TelemetryConfig::enabled`]) skips them behind one
+//! branch, and building without the `telemetry` cargo feature removes them
+//! — the zero-cost compile-out path — while [`MetricsSnapshot`], the
+//! [`Merge`] trait, and both exporters stay available so reports keep the
+//! same shape (histograms all zero).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::backend::{BufferStats, ReadCost};
+use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{Mutex, MutexGuard};
 use crate::trace::{TraceEvent, TraceKind};
+
+/// The Acquire on the fold's `evictions` load. The `coup_model_mutation`
+/// lane weakens it to prove the model suite has teeth: the publish side
+/// ([`Counter::add_release`]) is doubly covered — the migrate fence already
+/// orders the owner's `privatized` bump before it — so weakening *it*
+/// changes nothing observable, and the mutation attacks this singly covered
+/// fold side instead. Production builds always resolve to Acquire.
+#[cfg(not(coup_model_mutation))]
+const EVICTION_FOLD: Ordering = Ordering::Acquire; // ord: evict-stats
+#[cfg(coup_model_mutation)]
+const EVICTION_FOLD: Ordering = Ordering::Relaxed;
 
 /// Number of buckets in every fixed-bucket histogram.
 ///
 /// Bucket `i` (for `1 <= i < 15`) holds values in `[2^(i-1), 2^i - 1]`;
 /// bucket 0 holds exactly 0 and bucket 15 is the unbounded tail. Power-of-
-/// two buckets make recording a `leading_zeros` plus one relaxed RMW.
+/// two buckets make recording a `leading_zeros` plus one counter bump.
 pub const HIST_BUCKETS: usize = 16;
 
-/// Merging for per-worker (or per-run) counter aggregates.
+/// Merging for per-run counter aggregates.
 ///
-/// Every counter struct the runtime reports — [`ReadCost`], [`BufferStats`],
 /// [`HistogramSnapshot`], [`MetricsSnapshot`], and the workload executor's
-/// per-worker counts — folds through this one trait, replacing the three
-/// hand-rolled merge loops that used to live in the harness, the runtime
-/// shutdown path, and the kernel executor.
+/// per-worker counts fold through this one trait.
 pub trait Merge {
     /// Accumulates `other` into `self` field by field.
     fn merge(&mut self, other: &Self);
-}
-
-impl Merge for ReadCost {
-    fn merge(&mut self, other: &Self) {
-        self.reads += other.reads;
-        self.buffer_words += other.buffer_words;
-        self.retries += other.retries;
-        self.escalations += other.escalations;
-    }
-}
-
-impl Merge for BufferStats {
-    fn merge(&mut self, other: &Self) {
-        self.privatized += other.privatized;
-        self.evictions += other.evictions;
-        self.flushes += other.flushes;
-        self.held_bypasses += other.held_bypasses;
-    }
 }
 
 /// Maps a recorded value to its histogram bucket.
@@ -125,9 +134,11 @@ impl Merge for HistogramSnapshot {
 /// [`crate::RuntimeBuilder::telemetry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Runtime kill-switch: when false the registry allocates nothing and
-    /// every recording call is one predictable branch. (The `telemetry`
-    /// cargo feature removes even that branch at compile time.)
+    /// Runtime kill-switch: when false the registry records no histograms,
+    /// park counts or trace events — each site is one predictable branch —
+    /// and allocates no trace rings. The plain counters every report
+    /// carries still flow. (The `telemetry` cargo feature removes even that
+    /// branch at compile time.)
     pub enabled: bool,
     /// Per-worker trace-ring capacity in events, rounded up to a power of
     /// two; 0 disables event tracing while keeping the histograms.
@@ -148,7 +159,8 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything off at runtime: no histogram blocks, no trace rings.
+    /// Everything optional off at runtime: no histograms, no park counts,
+    /// no trace rings.
     pub fn disabled() -> Self {
         TelemetryConfig {
             enabled: false,
@@ -158,105 +170,162 @@ impl TelemetryConfig {
     }
 }
 
+/// One counter word of a [`Block`]. The block's owner is its only writer,
+/// so a bump is a relaxed load plus a relaxed store: no lock prefix, and
+/// the line stays in the owner's cache between bumps.
+#[derive(Debug, Default)]
+pub(crate) struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds `n`. Only the block's owner may call this.
+    #[inline]
+    pub(crate) fn add(&self, n: u64) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    /// Adds `n` with a Release store: the eviction-count publish, so an
+    /// observer that Acquires the new count ([`EVICTION_FOLD`]) also sees
+    /// the owner's earlier `privatized` bump. Only the block's owner may
+    /// call this.
+    #[inline]
+    pub(crate) fn add_release(&self, n: u64) {
+        let count = self.0.load(Ordering::Relaxed) + n;
+        self.0.store(count, Ordering::Release); // ord: evict-stats
+    }
+
+    /// The current count; any thread may observe it.
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A fixed-bucket histogram of owner-written counters: recording is
+/// `leading_zeros` plus one bucket bump, and a sum bump for a non-zero
+/// value.
 #[cfg(feature = "telemetry")]
-mod registry_impl {
-    use crate::sync::atomic::{AtomicU64, Ordering};
+#[derive(Debug, Default)]
+pub(crate) struct Histogram {
+    buckets: [Counter; HIST_BUCKETS],
+    sum: Counter,
+}
 
-    use super::{bucket_index, HistogramSnapshot, TelemetryConfig, HIST_BUCKETS};
-    use crate::trace::TraceRing;
-
-    /// A histogram of relaxed atomics; recording is `leading_zeros` plus two
-    /// relaxed `fetch_add`s (RMW rather than plain store only because block
-    /// 0 is shared with clamped out-of-range recorders).
-    #[derive(Default)]
-    pub(crate) struct AtomicHistogram {
-        buckets: [AtomicU64; HIST_BUCKETS],
-        sum: AtomicU64,
-    }
-
-    impl AtomicHistogram {
-        #[inline]
-        pub(crate) fn record(&self, value: u64) {
-            self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(value, Ordering::Relaxed);
-        }
-
-        pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-            let mut snap = HistogramSnapshot::default();
-            for (out, bucket) in snap.buckets.iter_mut().zip(self.buckets.iter()) {
-                *out = bucket.load(Ordering::Relaxed);
-            }
-            snap.sum = self.sum.load(Ordering::Relaxed);
-            snap
-        }
-    }
-
-    /// One worker's counters, padded to a cache line so neighbouring
-    /// workers' relaxed bumps never false-share.
-    #[derive(Default)]
-    #[repr(align(64))]
-    pub(crate) struct WorkerBlock {
-        pub(crate) read_width: AtomicHistogram,
-        pub(crate) read_retries: AtomicHistogram,
-        pub(crate) queue_dwell_us: AtomicHistogram,
-        pub(crate) batch_size: AtomicHistogram,
-        pub(crate) occupancy: AtomicHistogram,
-        pub(crate) flush_words: AtomicHistogram,
-        pub(crate) staleness: AtomicHistogram,
-        pub(crate) queue_parks: AtomicU64,
-        pub(crate) queue_unparks: AtomicU64,
-        pub(crate) trace_tick: AtomicU64,
-    }
-
-    pub(crate) struct Inner {
-        pub(crate) blocks: Box<[WorkerBlock]>,
-        pub(crate) rings: Box<[TraceRing]>,
-        pub(crate) sample_mask: u64,
-    }
-
-    impl Inner {
-        pub(crate) fn new(workers: usize, config: TelemetryConfig) -> Self {
-            let workers = workers.max(1);
-            let rings = if config.trace_capacity == 0 {
-                Vec::new()
-            } else {
-                (0..workers)
-                    .map(|_| TraceRing::new(config.trace_capacity))
-                    .collect()
-            };
-            Inner {
-                blocks: (0..workers).map(|_| WorkerBlock::default()).collect(),
-                rings: rings.into_boxed_slice(),
-                sample_mask: (1u64 << config.sample_shift.min(63)) - 1,
-            }
-        }
-
-        /// Clamps out-of-range recorders (external handle readers pass
-        /// `usize::MAX`) onto block 0.
-        #[inline]
-        pub(crate) fn block(&self, worker: usize) -> &WorkerBlock {
-            let index = if worker < self.blocks.len() {
-                worker
-            } else {
-                0
-            };
-            &self.blocks[index]
+#[cfg(feature = "telemetry")]
+impl Histogram {
+    #[inline]
+    pub(crate) fn record(&self, value: u64) {
+        self.buckets[bucket_index(value)].add(1);
+        if value != 0 {
+            self.sum.add(value);
         }
     }
 }
 
-/// The lock-free metrics registry shared by a backend and its runtime.
+/// One owner's counters, padded to cache lines so no two owners' bumps
+/// share a line, and written by one thread at a time (see the module
+/// docs). The histograms exist only with the `telemetry` feature; they and
+/// the park counts are bumped only while the kill-switch is on.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Block {
+    pub(crate) reads: Counter,
+    pub(crate) buffer_words: Counter,
+    pub(crate) retries: Counter,
+    pub(crate) escalations: Counter,
+    pub(crate) privatized: Counter,
+    /// Published with [`Counter::add_release`] after the `privatized` bump.
+    pub(crate) evictions: Counter,
+    pub(crate) flushes: Counter,
+    pub(crate) held_bypasses: Counter,
+    pub(crate) handle_reads: Counter,
+    pub(crate) stale_reads: Counter,
+    queue_parks: Counter,
+    queue_unparks: Counter,
+    /// In [`HIST_META`] order; see [`hist`].
+    #[cfg(feature = "telemetry")]
+    hists: [Histogram; HIST_COUNT],
+}
+
+/// Indices of [`Block`]'s histograms, in [`HIST_META`] order.
+pub(crate) mod hist {
+    pub(crate) const READ_WIDTH: usize = 0;
+    pub(crate) const READ_RETRIES: usize = 1;
+    pub(crate) const QUEUE_DWELL_US: usize = 2;
+    pub(crate) const BATCH_SIZE: usize = 3;
+    pub(crate) const OCCUPANCY: usize = 4;
+    pub(crate) const FLUSH_WORDS: usize = 5;
+    pub(crate) const STALENESS: usize = 6;
+}
+
+impl Block {
+    /// Adds this block's counts into `snap`; `gated` also folds the
+    /// histograms.
+    fn fold_into(&self, snap: &mut MetricsSnapshot, gated: bool) {
+        // Acquire the eviction count *before* loading `privatized`: the
+        // owner bumps `privatized` first and publishes the eviction with
+        // Release, so every eviction this load observes has its claim in
+        // the `privatized` load below — `evictions ≤ privatized` holds for
+        // any observer, mid-run included. Mutation lane weakens this
+        // Acquire; the stats-invariant model test catches the
+        // `evictions > privatized` observation that admits.
+        // ord: evict-stats
+        snap.buffer_stats.evictions += self.evictions.0.load(EVICTION_FOLD);
+        snap.buffer_stats.privatized += self.privatized.get();
+        snap.buffer_stats.flushes += self.flushes.get();
+        snap.buffer_stats.held_bypasses += self.held_bypasses.get();
+        // Escalations before reads, the reverse of the owner's bump order.
+        snap.read_cost.escalations += self.escalations.get();
+        snap.read_cost.retries += self.retries.get();
+        snap.read_cost.buffer_words += self.buffer_words.get();
+        snap.read_cost.reads += self.reads.get();
+        snap.handle_reads += self.handle_reads.get();
+        snap.stale_reads += self.stale_reads.get();
+        snap.queue_parks += self.queue_parks.get();
+        snap.queue_unparks += self.queue_unparks.get();
+        #[cfg(feature = "telemetry")]
+        if gated {
+            for (hist, out) in self.hists.iter().zip(snap.histogram_slots()) {
+                for (bucket, count) in hist.buckets.iter().zip(out.buckets.iter_mut()) {
+                    *count += bucket.get();
+                }
+                out.sum += hist.sum.get();
+            }
+        }
+        #[cfg(not(feature = "telemetry"))]
+        let _ = gated;
+    }
+}
+
+/// The blocks lent to handles and facade reads.
+#[derive(Debug, Default)]
+struct Pool {
+    /// Every block ever lent, in first-lend order: the fold's view, so a
+    /// returned block's counts stay in every later snapshot.
+    all: Vec<Arc<Block>>,
+    /// The lent-then-returned blocks no one holds right now.
+    free: Vec<Arc<Block>>,
+}
+
+/// The metrics registry shared by a backend and its runtime: the worker
+/// blocks, the handle-block pool, and (with telemetry on) the trace rings.
 ///
 /// Created once per [`crate::CoupRuntime`] (or implicitly per standalone
 /// [`crate::CoupBackend`]) and shared via `Arc`; recording methods are
-/// crate-internal, observation goes through [`crate::CoupRuntime::metrics`]
-/// / [`crate::TelemetryHandle`] or, for a standalone backend, the
-/// histograms folded by the owner.
+/// crate-internal, observation goes through [`TelemetryRegistry::metrics`]
+/// — or, on a runtime, [`crate::CoupRuntime::metrics`] /
+/// [`crate::TelemetryHandle`], which add the submission counters.
 pub struct TelemetryRegistry {
     config: TelemetryConfig,
     anchor: Instant,
+    /// Block `t` belongs to worker identity `t`.
+    workers: Box<[Block]>,
+    pool: Mutex<Pool>,
+    /// One ring per worker; empty when tracing is off.
     #[cfg(feature = "telemetry")]
-    inner: Option<registry_impl::Inner>,
+    rings: Box<[crate::trace::TraceRing]>,
+    #[cfg(feature = "telemetry")]
+    sample_mask: u64,
 }
 
 impl std::fmt::Debug for TelemetryRegistry {
@@ -264,23 +333,28 @@ impl std::fmt::Debug for TelemetryRegistry {
         f.debug_struct("TelemetryRegistry")
             .field("config", &self.config)
             .field("enabled", &self.is_enabled())
-            .finish()
+            .field("workers", &self.workers.len())
+            .finish_non_exhaustive()
     }
 }
 
 impl TelemetryRegistry {
-    /// Builds a registry with one padded counter block (and, if configured,
-    /// one trace ring) per worker.
+    /// Builds a registry with one padded counter block (and, if tracing is
+    /// on, one trace ring) per worker.
     pub fn new(workers: usize, config: TelemetryConfig) -> Self {
-        #[cfg(not(feature = "telemetry"))]
-        let _ = workers;
+        #[cfg(feature = "telemetry")]
+        let trace = config.enabled && config.trace_capacity > 0;
         TelemetryRegistry {
             config,
             anchor: Instant::now(),
+            workers: (0..workers).map(|_| Block::default()).collect(),
+            pool: Mutex::new(Pool::default()),
             #[cfg(feature = "telemetry")]
-            inner: config
-                .enabled
-                .then(|| registry_impl::Inner::new(workers, config)),
+            rings: (0..if trace { workers } else { 0 })
+                .map(|_| crate::trace::TraceRing::new(config.trace_capacity))
+                .collect(),
+            #[cfg(feature = "telemetry")]
+            sample_mask: (1u64 << config.sample_shift.min(63)) - 1,
         }
     }
 
@@ -289,17 +363,11 @@ impl TelemetryRegistry {
         self.config
     }
 
-    /// True when recording actually happens: the `telemetry` cargo feature
-    /// is compiled in *and* the runtime kill-switch is on.
+    /// True when histograms, park counts and traces are recorded: the
+    /// `telemetry` cargo feature is compiled in *and* the runtime
+    /// kill-switch is on. The plain counters are recorded either way.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            false
-        }
+        cfg!(feature = "telemetry") && self.config.enabled
     }
 
     /// Nanoseconds since this registry was created (monotonic clock); the
@@ -316,10 +384,8 @@ impl TelemetryRegistry {
         #[cfg(feature = "telemetry")]
         {
             let mut events = Vec::new();
-            if let Some(inner) = &self.inner {
-                for ring in inner.rings.iter() {
-                    ring.drain_into(&mut events);
-                }
+            for ring in self.rings.iter() {
+                ring.drain_into(&mut events);
             }
             events.sort_by_key(|event| (event.timestamp_ns, event.worker, event.seq));
             events
@@ -330,148 +396,144 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Records one synchronous read: how many buffer words it folded and
-    /// how many validation retries it burned.
-    #[inline]
-    pub(crate) fn record_read(&self, worker: usize, width: u64, retries: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.read_width.record(width);
-            block.read_retries.record(retries);
+    /// The registry's snapshot: every block folded — worker blocks, then
+    /// every pool block ever lent — plus the trace totals and uptime. The
+    /// submission counters are the runtime's to add. No stop-the-world:
+    /// owners keep bumping while this sums their blocks.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
+            uptime_ns: self.uptime_ns(),
+            ..MetricsSnapshot::default()
+        };
+        let pool = self.lock_pool();
+        for block in self
+            .workers
+            .iter()
+            .chain(pool.all.iter().map(|block| &**block))
+        {
+            // A switched-off registry's gated words are all zero: skip them.
+            block.fold_into(&mut snap, self.is_enabled());
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, width, retries);
+        drop(pool);
+        #[cfg(feature = "telemetry")]
+        for ring in self.rings.iter() {
+            snap.trace_recorded += ring.recorded();
+            snap.trace_dropped += ring.dropped();
+        }
+        snap
     }
 
-    /// Records one popped submission batch: its size and queue dwell time.
+    /// The worker blocks; block `t` belongs to whoever holds identity `t`.
     #[inline]
-    pub(crate) fn record_queue_pop(&self, worker: usize, batch: u64, dwell_us: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            let block = inner.block(worker);
-            block.batch_size.record(batch);
-            block.queue_dwell_us.record(dwell_us);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, batch, dwell_us);
+    pub(crate) fn workers(&self) -> &[Block] {
+        &self.workers
     }
 
-    /// Records the owner's resident-line count at a privatization.
-    #[inline]
-    pub(crate) fn record_occupancy(&self, worker: usize, resident: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).occupancy.record(resident);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, resident);
+    fn lock_pool(&self) -> MutexGuard<'_, Pool> {
+        self.pool
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Records the staleness bound one relaxed-tier read returned.
-    #[inline]
-    pub(crate) fn record_stale_read(&self, worker: usize, staleness: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).staleness.record(staleness);
+    /// Lends a pool block — a returned one if any is free, else a new one.
+    /// The caller is its only writer until it hands it back through
+    /// [`TelemetryRegistry::give_back`]; the pool mutex orders the previous
+    /// owner's last bump before the caller's first.
+    pub(crate) fn lend(&self) -> Arc<Block> {
+        let mut pool = self.lock_pool();
+        match pool.free.pop() {
+            Some(block) => block,
+            None => {
+                let block = Arc::new(Block::default());
+                pool.all.push(Arc::clone(&block));
+                block
+            }
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, staleness);
     }
 
-    /// Records the non-identity word count of one slot migration.
-    #[inline]
-    pub(crate) fn record_flush_words(&self, worker: usize, words: u64) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner.block(worker).flush_words.record(words);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, words);
+    /// Returns a block [`TelemetryRegistry::lend`] handed out. Its counts
+    /// stay in every later snapshot.
+    pub(crate) fn give_back(&self, block: Arc<Block>) {
+        self.lock_pool().free.push(block);
     }
 
-    /// Counts one drainer park (condvar sleep) and traces the park event.
+    /// Runs `f` with a pool block lent for the call: the owner of a read
+    /// that has no handle of its own.
+    pub(crate) fn with_lent_block<R>(&self, f: impl FnOnce(&Block) -> R) -> R {
+        let block = self.lend();
+        let result = f(&block);
+        self.give_back(block);
+        result
+    }
+
+    /// Records one exact read's cost into `block`. A zero-cost read (a
+    /// backend whose reads are one store load) records nothing.
     #[inline]
-    pub(crate) fn record_park(&self, worker: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_parks
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
+    pub(crate) fn record_read(&self, block: &Block, cost: &ReadCost) {
+        if cost.reads == 0 {
+            return;
         }
-        self.trace(worker, TraceKind::QueuePark, 0);
+        block.reads.add(cost.reads);
+        for (counter, n) in [
+            (&block.buffer_words, cost.buffer_words),
+            (&block.retries, cost.retries),
+            (&block.escalations, cost.escalations),
+        ] {
+            if n != 0 {
+                counter.add(n);
+            }
+        }
+        self.record(block, hist::READ_WIDTH, cost.buffer_words);
+        self.record(block, hist::READ_RETRIES, cost.retries);
+    }
+
+    /// Records `value` into `block`'s histogram `which` (a [`hist`] index)
+    /// while histograms are on.
+    #[inline]
+    pub(crate) fn record(&self, block: &Block, which: usize, value: u64) {
+        #[cfg(feature = "telemetry")]
+        if self.is_enabled() {
+            block.hists[which].record(value);
+        }
+        #[cfg(not(feature = "telemetry"))]
+        let _ = (block, which, value);
+    }
+
+    /// Counts one park into `block` and traces it into worker `ring`'s
+    /// ring.
+    #[inline]
+    pub(crate) fn record_park(&self, block: &Block, ring: usize) {
+        if self.is_enabled() {
+            block.queue_parks.add(1);
+        }
+        self.trace(ring, TraceKind::QueuePark, 0);
     }
 
     /// Counts one wake after a counted park and traces the unpark event.
     /// Every [`TelemetryRegistry::record_park`] whose sleeper actually slept
-    /// is paired with exactly one `record_unpark` on the same worker index,
-    /// so `queue_parks - queue_unparks` bounds the threads asleep right now.
+    /// is paired with exactly one `record_unpark` on the same block, so
+    /// `queue_parks - queue_unparks` bounds the threads asleep right now.
     #[inline]
-    pub(crate) fn record_unpark(&self, worker: usize) {
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            inner
-                .block(worker)
-                .queue_unparks
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
+    pub(crate) fn record_unpark(&self, block: &Block, ring: usize) {
+        if self.is_enabled() {
+            block.queue_unparks.add(1);
         }
-        self.trace(worker, TraceKind::QueueUnpark, 0);
+        self.trace(ring, TraceKind::QueueUnpark, 0);
     }
 
-    /// Records one structured trace event, subject to the sampling rate.
+    /// Records one structured trace event into worker `ring`'s ring,
+    /// subject to the sampling rate. A recorder with no ring of its own (a
+    /// handle read's escalation) is not traced; its counters still are.
     #[inline]
-    pub(crate) fn trace(&self, worker: usize, kind: TraceKind, line: usize) {
+    pub(crate) fn trace(&self, ring: usize, kind: TraceKind, line: usize) {
         #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            if inner.rings.is_empty() {
-                return;
+        if let Some(target) = self.rings.get(ring) {
+            if target.sample(self.sample_mask) {
+                target.record(self.uptime_ns(), ring, kind, line);
             }
-            let block = inner.block(worker);
-            let tick = block
-                .trace_tick
-                .fetch_add(1, crate::sync::atomic::Ordering::Relaxed);
-            if tick & inner.sample_mask != 0 {
-                return;
-            }
-            let index = if worker < inner.rings.len() {
-                worker
-            } else {
-                0
-            };
-            inner.rings[index].record(self.uptime_ns(), worker, kind, line);
         }
         #[cfg(not(feature = "telemetry"))]
-        let _ = (worker, kind, line);
-    }
-
-    /// Folds the registry's own counters (histograms, parks, trace totals,
-    /// uptime) into `snap`; the caller supplies the backend and queue
-    /// counters.
-    pub(crate) fn fill(&self, snap: &mut MetricsSnapshot) {
-        snap.uptime_ns = self.uptime_ns();
-        #[cfg(feature = "telemetry")]
-        if let Some(inner) = &self.inner {
-            for block in inner.blocks.iter() {
-                snap.read_width.merge(&block.read_width.snapshot());
-                snap.read_retries.merge(&block.read_retries.snapshot());
-                snap.queue_dwell_us.merge(&block.queue_dwell_us.snapshot());
-                snap.batch_size.merge(&block.batch_size.snapshot());
-                snap.occupancy.merge(&block.occupancy.snapshot());
-                snap.flush_words.merge(&block.flush_words.snapshot());
-                snap.staleness.merge(&block.staleness.snapshot());
-                snap.queue_parks += block
-                    .queue_parks
-                    .load(crate::sync::atomic::Ordering::Relaxed);
-                snap.queue_unparks += block
-                    .queue_unparks
-                    .load(crate::sync::atomic::Ordering::Relaxed);
-            }
-            for ring in inner.rings.iter() {
-                snap.trace_recorded += ring.recorded();
-                snap.trace_dropped += ring.dropped();
-            }
-        }
+        let _ = (ring, kind, line);
     }
 }
 
@@ -631,25 +693,8 @@ const HIST_META: [(&str, &str); HIST_COUNT] = [
 impl MetricsSnapshot {
     /// Scalar counter values in [`COUNTER_META`] order.
     fn counter_values(&self) -> [u64; 17] {
-        [
-            self.uptime_ns,
-            self.updates_submitted,
-            self.updates_applied,
-            self.handle_reads,
-            self.stale_reads,
-            self.queue_parks,
-            self.queue_unparks,
-            self.trace_recorded,
-            self.trace_dropped,
-            self.read_cost.reads,
-            self.read_cost.buffer_words,
-            self.read_cost.retries,
-            self.read_cost.escalations,
-            self.buffer_stats.privatized,
-            self.buffer_stats.evictions,
-            self.buffer_stats.flushes,
-            self.buffer_stats.held_bypasses,
-        ]
+        let mut copy = *self;
+        copy.counter_slots().map(|slot| *slot)
     }
 
     /// Mutable scalar counter slots in [`COUNTER_META`] order.
@@ -677,15 +722,8 @@ impl MetricsSnapshot {
 
     /// Histogram values in [`HIST_META`] order.
     fn histogram_values(&self) -> [HistogramSnapshot; HIST_COUNT] {
-        [
-            self.read_width,
-            self.read_retries,
-            self.queue_dwell_us,
-            self.batch_size,
-            self.occupancy,
-            self.flush_words,
-            self.staleness,
-        ]
+        let mut copy = *self;
+        copy.histogram_slots().map(|slot| *slot)
     }
 
     /// Mutable histogram slots in [`HIST_META`] order.
@@ -1461,24 +1499,38 @@ mod tests {
         assert!(MetricsSnapshot::from_json(&format!("{{\"uptime_ns\": {hostile}")).is_err());
     }
 
+    /// One exact read that folded `width` buffer words over `retries`
+    /// invalidated passes.
+    fn one_read(width: u64, retries: u64) -> ReadCost {
+        ReadCost {
+            reads: 1,
+            buffer_words: width,
+            retries,
+            escalations: 0,
+        }
+    }
+
     #[cfg(feature = "telemetry")]
     #[test]
     fn registry_folds_per_worker_blocks() {
         let registry = TelemetryRegistry::new(4, TelemetryConfig::default());
         assert!(registry.is_enabled());
-        registry.record_read(0, 3, 1);
-        registry.record_read(2, 5, 0);
-        registry.record_read(usize::MAX, 2, 0); // clamps onto block 0
-        registry.record_queue_pop(1, 256, 12);
-        registry.record_occupancy(3, 7);
-        registry.record_flush_words(2, 9);
-        registry.record_park(1);
-        registry.record_unpark(1);
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
-        assert_eq!(snap.read_width.count(), 3);
-        assert_eq!(snap.read_width.sum, 10);
-        assert_eq!(snap.read_retries.count(), 3);
+        let workers = registry.workers();
+        registry.record_read(&workers[0], &one_read(3, 1));
+        registry.record_read(&workers[2], &one_read(5, 0));
+        registry.record(&workers[1], hist::BATCH_SIZE, 256);
+        registry.record(&workers[1], hist::QUEUE_DWELL_US, 12);
+        registry.record(&workers[3], hist::OCCUPANCY, 7);
+        registry.record(&workers[2], hist::FLUSH_WORDS, 9);
+        registry.record_park(&workers[1], 1);
+        registry.record_unpark(&workers[1], 1);
+        let snap = registry.metrics();
+        assert_eq!(snap.read_cost.reads, 2);
+        assert_eq!(snap.read_cost.buffer_words, 8);
+        assert_eq!(snap.read_cost.retries, 1);
+        assert_eq!(snap.read_width.count(), 2);
+        assert_eq!(snap.read_width.sum, 8);
+        assert_eq!(snap.read_retries.count(), 2);
         assert_eq!(snap.read_retries.sum, 1);
         assert_eq!(snap.batch_size.count(), 1);
         assert_eq!(snap.queue_dwell_us.sum, 12);
@@ -1497,17 +1549,17 @@ mod tests {
         assert_eq!(events[1].worker, 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn disabled_registry_records_nothing() {
         let registry = TelemetryRegistry::new(4, TelemetryConfig::disabled());
         assert!(!registry.is_enabled());
-        registry.record_read(0, 3, 1);
-        registry.record_park(0);
-        registry.record_unpark(0);
+        let block = &registry.workers()[0];
+        registry.record_read(block, &one_read(3, 1));
+        registry.record_park(block, 0);
+        registry.record_unpark(block, 0);
         registry.trace(0, TraceKind::Flush, 9);
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
+        let snap = registry.metrics();
+        assert_eq!(snap.read_cost, one_read(3, 1), "plain counters flow");
         assert_eq!(snap.read_width.count(), 0);
         assert_eq!(snap.queue_parks, 0);
         assert_eq!(snap.queue_unparks, 0);
@@ -1526,11 +1578,53 @@ mod tests {
         let registry = TelemetryRegistry::new(1, config);
         for line in 0..800 {
             registry.trace(0, TraceKind::Privatize, line);
-            registry.record_occupancy(0, 1);
+            registry.record(&registry.workers()[0], hist::OCCUPANCY, 1);
         }
-        let mut snap = MetricsSnapshot::default();
-        registry.fill(&mut snap);
+        let snap = registry.metrics();
         assert_eq!(snap.trace_recorded, 100, "1 in 8 of 800 events kept");
         assert_eq!(snap.occupancy.count(), 800, "histograms are never sampled");
+    }
+
+    /// A recorder with no ring (a handle read's escalation) is counted but
+    /// not traced.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn events_without_a_ring_are_not_traced() {
+        let registry = TelemetryRegistry::new(2, TelemetryConfig::default());
+        registry.trace(usize::MAX, TraceKind::ReadHoldEscalate, 3);
+        registry.trace(2, TraceKind::Flush, 3);
+        assert_eq!(registry.metrics().trace_recorded, 0);
+        assert!(registry.drain_trace().is_empty());
+    }
+
+    /// A pool block outlives its owner: returned blocks are recycled before
+    /// new ones are made, keep counting from where they stopped, and stay in
+    /// every fold.
+    #[test]
+    fn pool_blocks_are_recycled_and_their_counts_persist() {
+        let registry = TelemetryRegistry::new(1, TelemetryConfig::default());
+        let first = registry.lend();
+        first.handle_reads.add(2);
+        let second = registry.lend();
+        second.stale_reads.add(1);
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "a held block is never lent twice"
+        );
+        registry.give_back(first);
+        assert_eq!(registry.metrics().handle_reads, 2, "returned counts stay");
+        let recycled = registry.lend();
+        assert_eq!(recycled.handle_reads.get(), 2, "the free block is reused");
+        recycled.handle_reads.add(1);
+        registry.give_back(recycled);
+        registry.with_lent_block(|block| block.handle_reads.add(4));
+        registry.give_back(second);
+        let snap = registry.metrics();
+        assert_eq!((snap.handle_reads, snap.stale_reads), (7, 1));
+        assert_eq!(
+            registry.lock_pool().all.len(),
+            2,
+            "two owners at most, two blocks"
+        );
     }
 }

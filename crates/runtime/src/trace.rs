@@ -1,13 +1,14 @@
 //! Bounded per-worker event trace rings: the structured-event half of the
 //! telemetry subsystem.
 //!
-//! Each worker owns a power-of-two ring of fixed-width slots. Recording is
-//! lock-free and wait-free for the owner (one `fetch_add` to claim a sequence
-//! number, three plain stores), and the ring **overwrites** when full — the
-//! trace is a lossy tail of recent activity, never back-pressure on the hot
-//! path. Draining validates each slot with a per-slot seqlock ticket so a
-//! concurrently overwritten entry is counted as dropped instead of returned
-//! torn. See the observability section of ARCHITECTURE.md for the overwrite
+//! Each worker has a power-of-two ring of fixed-width slots. Rings are
+//! multi-writer by design (a producer parked on a full ring traces into its
+//! worker's ring): recording is lock-free and wait-free (one `fetch_add` on
+//! the sampling tick, one to claim a sequence number, three plain stores),
+//! and the ring **overwrites** when full — the trace is a lossy tail of
+//! recent activity, never back-pressure on the hot path. Draining validates
+//! each slot with a per-slot seqlock ticket so a concurrently overwritten
+//! entry is counted as dropped instead of returned torn. See the observability section of ARCHITECTURE.md for the overwrite
 //! semantics in prose.
 //!
 //! With the `telemetry` feature disabled the ring type is still present but
@@ -99,8 +100,9 @@ pub struct TraceEvent {
     pub seq: u64,
     /// Nanoseconds since the owning registry was created (monotonic clock).
     pub timestamp_ns: u64,
-    /// Ring index the event was recorded into — the worker id, with
-    /// out-of-range recorders (external producer threads) clamped to 0.
+    /// Ring index the event was recorded into — the worker id. A producer
+    /// parked on a full ring records into its ring's worker; a recorder
+    /// with no ring (a handle read's escalation) is not traced.
     pub worker: usize,
     /// What happened.
     pub kind: TraceKind,
@@ -147,9 +149,13 @@ mod ring {
         data: AtomicU64,
     }
 
-    /// A bounded, overwriting, per-worker trace ring.
+    /// A bounded, overwriting, per-worker trace ring, cache-line aligned so
+    /// one worker's tick and head RMWs never contend with a neighbour's.
+    #[repr(align(64))]
     pub(crate) struct TraceRing {
         slots: Box<[Slot]>,
+        /// Events offered to this ring, sampled or not: the sampling gate.
+        tick: AtomicU64,
         head: AtomicU64,
         /// Entries lost to overwrite or torn-read rejection, counted at
         /// drain time; guarded by `cursor`'s mutex discipline (stored as an
@@ -172,11 +178,18 @@ mod ring {
                 .into_boxed_slice();
             TraceRing {
                 slots,
+                tick: AtomicU64::new(0),
                 head: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
                 cursor: Mutex::new(0),
                 mask: capacity as u64 - 1,
             }
+        }
+
+        /// Counts one offered event and says whether the sampling rate
+        /// keeps it: every event whose tick has no bit of `mask` set.
+        pub(crate) fn sample(&self, mask: u64) -> bool {
+            self.tick.fetch_add(1, Ordering::Relaxed) & mask == 0
         }
 
         /// Total events ever recorded into this ring.

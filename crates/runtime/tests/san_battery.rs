@@ -65,7 +65,7 @@ fn exercise_backend() {
         // alternately evicts the other's dirty slot.
         bounded.update(0, if i % 2 == 0 { 0 } else { 512 }, 1);
     }
-    let stats = bounded.buffer_stats();
+    let stats = bounded.telemetry().metrics().buffer_stats;
     assert!(stats.evictions > 0, "bounded buffer must evict: {stats:?}");
 
     // Direct atomic RMWs on the shared store (`store-word` both sides).

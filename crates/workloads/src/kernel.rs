@@ -805,8 +805,6 @@ impl RuntimeBackend {
             counts.checksum = std::hint::black_box(counts.checksum);
             counts
         });
-        // Capture the metrics before the verifying snapshot below adds its
-        // own per-lane reductions to the counters.
         let metrics = runtime.metrics().since(&before);
         let backend_name = runtime.backend_name();
         let snapshot = runtime.shutdown().snapshot;

@@ -33,10 +33,11 @@
 //!    all three read paths — atomic baseline, COUP exact (reducing) reads,
 //!    and COUP [`read_stale`](coup_runtime::LaneHandle::read_stale) — the
 //!    crossover evidence for the tiered-consistency read path,
-//! 7. the telemetry-overhead measurement: interleaved pairs of hist-kernel
-//!    runs with the metrics registry enabled versus runtime-disabled, the
-//!    overhead taken as the *median* pair and asserted against the ≤5%
-//!    budget (a single pair is one scheduler hiccup away from either sign).
+//! 7. the telemetry-overhead measurement: interleaved pairs of runs with the
+//!    metrics registry enabled versus runtime-disabled, the overhead taken
+//!    as the *median* pair and asserted against the ≤5% budget (a single
+//!    pair is one scheduler hiccup away from either sign) — once on the
+//!    hist kernel, once on the read-tier sweep's r500 exact-read mix.
 //!
 //! The kernel table, the submission sweep, the read-tier sweep, the
 //! overhead measurement, and the merged
@@ -56,8 +57,8 @@
 
 use coup_protocol::ops::CommutativeOp;
 use coup_runtime::{
-    run_contended, BackendKind, BufferConfig, ContendedSpec, CoupBackend, CoupRuntime, ReadTier,
-    RuntimeBuilder, DEFAULT_FLUSH_THRESHOLD,
+    expected_counts, run_contended, BackendKind, BufferConfig, ContendedSpec, CoupBackend,
+    CoupRuntime, ReadTier, RuntimeBuilder, DEFAULT_FLUSH_THRESHOLD,
 };
 use coup_runtime::{
     BenchKernelRow, BenchOverhead, BenchReadTierRow, BenchReport, BenchShardRow, BenchSweepRow,
@@ -406,36 +407,28 @@ fn median(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-/// Measures telemetry overhead on the hist kernel: `reps` *interleaved*
-/// pairs of runs — telemetry enabled (default config), then runtime-disabled
-/// — so both sides of every pair see the same machine weather. The reported
-/// overhead is the median per-pair slowdown, asserted against
-/// [`OVERHEAD_BUDGET_PCT`]: a single pair is one scheduler hiccup away from
-/// either sign, and gating the budget on it would flap.
-fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
+/// Runs `reps` *interleaved* pairs of `run` — telemetry enabled (default
+/// config), then runtime-disabled — so both sides of every pair see the
+/// same machine weather, prints the row, and asserts the median per-pair
+/// slowdown against [`OVERHEAD_BUDGET_PCT`]: a single pair is one scheduler
+/// hiccup away from either sign, and gating the budget on it would flap.
+/// Returns the enabled and disabled median Mops and the overhead.
+fn gate_overhead(
+    label: &str,
+    reps: usize,
+    mut run: impl FnMut(TelemetryConfig) -> f64,
+) -> (f64, f64, f64) {
     assert!(
         reps >= 3,
         "the median needs at least three interleaved pairs"
     );
-    println!(
-        "telemetry overhead (hist 1M px, 256 bins, {threads} threads, median of {reps} pairs):"
-    );
-    let hist = HistWorkload::new(1_000_000, 256, HistScheme::Shared, 42);
-    let kernel = hist.kernel();
-    let mut pairs = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
-    for _ in 0..reps {
-        let on = RuntimeBackend::new(RuntimeKind::Coup, threads)
-            .with_telemetry(TelemetryConfig::default())
-            .execute(&kernel)
-            .expect("hist verifies with telemetry on");
-        let off = RuntimeBackend::new(RuntimeKind::Coup, threads)
-            .with_telemetry(TelemetryConfig::disabled())
-            .execute(&kernel)
-            .expect("hist verifies with telemetry off");
-        metrics.merge(&on.metrics);
-        pairs.push((on.mops(), off.mops()));
-    }
+    println!("telemetry overhead ({label}, median of {reps} pairs):");
+    let pairs: Vec<(f64, f64)> = (0..reps)
+        .map(|_| {
+            let on = run(TelemetryConfig::default());
+            (on, run(TelemetryConfig::disabled()))
+        })
+        .collect();
     let enabled_mops = median(pairs.iter().map(|p| p.0).collect());
     let disabled_mops = median(pairs.iter().map(|p| p.1).collect());
     let overhead_pct = median(
@@ -445,13 +438,64 @@ fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
             .collect(),
     );
     println!(
-        "  {:>10} | {:>14.1} Mops\n  {:>10} | {:>14.1} Mops\n  {:>10} | {:>13.2}%\n",
+        "  {:>10} | {:>14.1} Mops\n  {:>10} | {:>14.1} Mops\n  {:>10} | {:>13.2}%",
         "enabled", enabled_mops, "disabled", disabled_mops, "overhead", overhead_pct,
+    );
+    let per_pair: Vec<String> = pairs
+        .iter()
+        .map(|(on, off)| format!("{on:.1}/{off:.1}"))
+        .collect();
+    println!(
+        "  {:>10} | {} (on/off Mops)\n",
+        "pairs",
+        per_pair.join(", ")
     );
     assert!(
         overhead_pct <= OVERHEAD_BUDGET_PCT,
-        "median telemetry overhead {overhead_pct:.2}% busts the \
+        "{label}: median telemetry overhead {overhead_pct:.2}% busts the \
          {OVERHEAD_BUDGET_PCT}% budget (pairs: {pairs:?})"
+    );
+    (enabled_mops, disabled_mops, overhead_pct)
+}
+
+/// Measures telemetry overhead twice, each gated by [`gate_overhead`]: on
+/// the hist kernel (the row `BENCH_runtime.json` records), and on the r500
+/// exact-read mix of the read-tier sweep — 8 producers feeding 8 resident
+/// workers — where every other operation is a handle read that runs the
+/// read-side accounting, which the update-only hist kernel never touches.
+fn measure_overhead(threads: usize, reps: usize) -> OverheadRow {
+    let hist = HistWorkload::new(1_000_000, 256, HistScheme::Shared, 42);
+    let kernel = hist.kernel();
+    let mut metrics = MetricsSnapshot::default();
+    let label = format!("hist 1M px, 256 bins, {threads} threads");
+    let (enabled_mops, disabled_mops, overhead_pct) = gate_overhead(&label, reps, |config| {
+        let report = RuntimeBackend::new(RuntimeKind::Coup, threads)
+            .with_telemetry(config)
+            .execute(&kernel)
+            .expect("hist verifies under either telemetry config");
+        if config.enabled {
+            metrics.merge(&report.metrics);
+        }
+        report.mops()
+    });
+    let producers = 8;
+    let spec = ContendedSpec::contended(400_000).with_reads(500);
+    gate_overhead(
+        "exact read mix r500, 8 producers, 8 workers",
+        reps,
+        |config| {
+            let runtime = RuntimeBuilder::new(CommutativeOp::AddU64, spec.lanes)
+                .workers(producers)
+                .telemetry(config)
+                .build();
+            let report = run_contended(&runtime, producers, &spec);
+            assert_eq!(
+                runtime.snapshot(),
+                expected_counts(&spec, producers, CommutativeOp::AddU64),
+                "the read mix must apply every update"
+            );
+            report.mops()
+        },
     );
     OverheadRow {
         enabled_mops,

@@ -4,7 +4,9 @@
 //! * `BenchReport::from_json` over `BENCH_runtime.json`;
 //! * `MetricsSnapshot::from_json` / `from_prometheus` over the snapshot
 //!   exports;
-//! * `coup_lint::parse_sites_json` over a `coup-lint --sites` table.
+//! * `coup_lint::parse_sites_json` over a `coup-lint --sites` table;
+//! * `coup_lint::lint_sources`, the lint's tokenizer and scanner, over
+//!   runtime source files.
 //!
 //! Each property applies a handful of byte edits (overwrite, insert,
 //! delete) to a valid input. The edit bytes lean towards the formats'
@@ -12,15 +14,17 @@
 //! exercise the nesting, string, number and schema paths.
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use coup_runtime::{BenchReport, MetricsSnapshot};
 
 /// Bytes the edits draw from: JSON and exposition-format punctuation,
-/// digits, escapes, and lone UTF-8 lead/continuation bytes.
+/// digits, escapes, Rust comment, string and char delimiters, and lone
+/// UTF-8 lead/continuation bytes.
 fn edit_byte() -> impl Strategy<Value = u8> {
-    prop::sample::select(b"{}[]\",:0123456789-.eE+\\u tfn#=\n\xC3\xA9\xFF".to_vec())
+    prop::sample::select(b"{}[]\",:0123456789-.eE+\\u tfn#=\n/*'r\xC3\xA9\xFF".to_vec())
 }
 
 /// Up to eight `(kind, position, byte)` edits.
@@ -69,6 +73,23 @@ fn sample_snapshot() -> MetricsSnapshot {
     snap
 }
 
+/// Runtime sources for the lint properties: a ring, the sync facade, the
+/// store and the trace ring — ordering tags, named constants, cfg arms,
+/// raw strings and doc comments between them.
+fn runtime_sources() -> &'static [(String, String)] {
+    static SOURCES: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    SOURCES.get_or_init(|| {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../runtime/src");
+        ["ring.rs", "sync.rs", "store.rs", "trace.rs"]
+            .iter()
+            .map(|name| {
+                let text = std::fs::read_to_string(src.join(name)).expect("runtime source");
+                (name.to_string(), text)
+            })
+            .collect()
+    })
+}
+
 fn sample_site_table() -> String {
     let src = "// ord: edge\npub(crate) const PUBLISH: Ordering = Ordering::Release;\n\
                fn publish(x: &AtomicU64) { x.store(1, PUBLISH); }\n\
@@ -113,5 +134,13 @@ proptest! {
     #[test]
     fn site_table_parser_never_panics(edits in edits()) {
         let _ = coup_lint::parse_sites_json(&mutate(&sample_site_table(), &edits));
+    }
+
+    #[test]
+    fn lint_tokenizer_never_panics(edits in edits(), file in 0usize..4) {
+        let mut sources = runtime_sources().to_vec();
+        sources[file].1 = mutate(&sources[file].1, &edits);
+        let report = coup_lint::lint_sources(&sources);
+        let _ = coup_lint::render_sites_json(&report.site_table());
     }
 }

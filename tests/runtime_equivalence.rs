@@ -481,7 +481,7 @@ fn concurrent_subword_reads_never_lose_migrating_deltas() {
             }
         });
         assert_eq!(coup.snapshot()[..4], [0, updates, updates, 0]);
-        let cost = coup.read_cost();
+        let cost = coup.telemetry().metrics().read_cost;
         assert!(cost.reads > 0);
         assert!(
             cost.buffer_words <= (cost.reads + cost.retries) * 2,
