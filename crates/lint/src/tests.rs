@@ -342,9 +342,8 @@ fn the_real_runtime_tree_pairs_the_sharded_submission_tags() {
         // producer's RETIRED store vs. the drainer's state load.
         "shard-claim",
         "shard-retire",
-        // Parker epoch word and the pause gate built on it.
+        // Parker epoch word.
         "queue-wake",
-        "job-pause",
         // Worker applied-count vs. drain()/shutdown() quiescence.
         "drain-quiesce",
     ] {

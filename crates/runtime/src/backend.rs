@@ -1297,13 +1297,13 @@ impl UpdateBackend for CoupBackend {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::telemetry::MetricsSnapshot;
 
     /// Iteration multiplier for the concurrency stress tests: 1 normally, 8
     /// when `COUP_STRESS` is set (the CI release stress lane).
-    fn stress_factor() -> u64 {
+    pub(crate) fn stress_factor() -> u64 {
         match std::env::var_os("COUP_STRESS") {
             Some(v) if v != "0" => 8,
             _ => 1,

@@ -3,13 +3,13 @@
 //!
 //! [`run_contended`] spawns *producer* threads that feed a [`CoupRuntime`]
 //! through [`LaneHandle`](crate::LaneHandle)s — the service shape: producers
-//! batch updates into the MPSC submission queue, the runtime's resident
+//! batch updates into their own SPSC shard rings, the runtime's resident
 //! workers drain them into the backend, and the optional read admixture runs
 //! synchronously on the producer threads. Because each producer's stream
 //! depends only on `(seed, producer)`, the multiset of updates is identical
 //! across runs, so for the non-floating-point operations two runtimes driven
 //! with the same spec must end in exactly the same state — assert it with
-//! [`CoupRuntime::snapshot`] (exact after the run, which drains the queue)
+//! [`CoupRuntime::snapshot`] (exact after the run, which drains the rings)
 //! or against [`expected_counts`].
 //!
 //! Lane selection is uniform by default; [`ContendedSpec::zipf`] skews it

@@ -14,9 +14,9 @@
 //! [`CounterHandle`], or the bare write-only [`Submitter`] — through which
 //! any thread submits updates in batches. Resident workers drain the batches
 //! into per-worker privatized buffers; reads stay synchronous on the calling
-//! thread. The scoped-thread engine that executes worker jobs is an internal
-//! detail ([`CoupRuntime::run_workers`] is the supported way to run
-//! worker-style kernels).
+//! thread. Worker-style kernels run through [`CoupRuntime::run_workers`],
+//! which retires the resident workers and runs the job on scoped threads
+//! that take over their identities.
 //!
 //! The mapping from the protocol onto the runtime:
 //!
@@ -83,7 +83,6 @@
 
 pub mod backend;
 pub mod bench;
-mod engine;
 pub mod harness;
 #[cfg(all(test, coup_model, feature = "model"))]
 mod model_tests;

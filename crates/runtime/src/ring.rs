@@ -271,12 +271,6 @@ impl Parker {
         self.word.fetch_add(0, Ordering::Acquire) & !SLEEPER_MASK // ord: queue-wake
     }
 
-    /// True once [`Parker::close`] ran (same staleness caveat as
-    /// [`Parker::status`]).
-    pub(crate) fn is_closed(&self) -> bool {
-        self.word.load(Ordering::Relaxed) & CLOSED_BIT != 0
-    }
-
     /// Publication: bump the epoch, and wake sleepers if the arm counter
     /// says there are any. The Release on the bump is the edge that lets a
     /// sleeper whose arm detected the bump see the data published just
@@ -667,8 +661,8 @@ mod tests {
         }
         parker.close();
         sleeper.join().unwrap();
-        assert!(parker.is_closed());
         let status = parker.status();
+        assert_ne!(status & CLOSED_BIT, 0);
         assert_eq!(
             parker.park(status.wrapping_sub(EPOCH_ONE), || {}),
             ParkResult::Moved

@@ -72,11 +72,12 @@
 //! ```
 
 use crate::sync;
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::thread::JoinHandle;
 use crate::sync::{Mutex, MutexGuard};
 use std::cell::OnceCell;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use coup_protocol::ops::CommutativeOp;
@@ -84,7 +85,6 @@ use coup_protocol::ops::CommutativeOp;
 use crate::backend::{
     AtomicBackend, BufferConfig, CoupBackend, StaleRead, UpdateBackend, DEFAULT_FLUSH_THRESHOLD,
 };
-use crate::engine::Engine;
 use crate::harness::ThroughputReport;
 use crate::ring::{ParkResult, Parker, ShardCache, ShardDirectory, ShardGrant, QUIESCE_PUBLISH};
 use crate::telemetry::{hist, Block, MetricsSnapshot, TelemetryConfig, TelemetryRegistry};
@@ -109,10 +109,9 @@ pub enum BackendKind {
     Coup,
 }
 
-/// Builds a [`CoupRuntime`]: one place for every knob that used to be spread
-/// over the three overlapping `CoupBackend` constructors
-/// (`new` / `with_flush_threshold` / `with_config`) plus the engine's thread
-/// count.
+/// Builds a [`CoupRuntime`]: one place for every knob — backend kind, lanes,
+/// worker count, buffer sizing, and the submission path's batch, ring and
+/// slot bounds.
 ///
 /// Defaults: COUP backend, 1 resident worker, [`DEFAULT_FLUSH_THRESHOLD`],
 /// buffer configuration from the environment ([`BufferConfig::from_env`]),
@@ -284,12 +283,9 @@ impl RuntimeBuilder {
             directory: ShardDirectory::new(self.shard_slots.max(1), self.queue_capacity.max(1)),
             wake: (0..self.workers).map(|_| Parker::new()).collect(),
             idle: Parker::new(),
-            resume: Parker::new(),
-            pause_done: Parker::new(),
             submitted: AtomicU64::new(0),
             applied: AtomicU64::new(0),
-            paused: AtomicU64::new(0),
-            pause_acks: AtomicU64::new(0),
+            retire: AtomicBool::new(false),
             batch_capacity: self.batch_capacity.max(1),
             workers: self.workers,
             telemetry,
@@ -297,7 +293,7 @@ impl RuntimeBuilder {
         });
         CoupRuntime {
             shared,
-            drainers: Mutex::new(Vec::new()),
+            drainers: Mutex::new(Drainers::default()),
             job: Mutex::new(()),
             started: Instant::now(),
         }
@@ -320,10 +316,6 @@ struct Shared {
     wake: Box<[Parker]>,
     /// Parks [`CoupRuntime::drain`] callers until `applied` catches up.
     idle: Parker,
-    /// Parks workers for the duration of a [`CoupRuntime::run_workers`] job.
-    resume: Parker,
-    /// Wakes the pausing job thread as workers acknowledge the pause.
-    pause_done: Parker,
     /// `closed bit (bit 63) | updates submitted over the runtime's
     /// lifetime`. Producers add *before* publishing; the count is an upper
     /// bound on published updates until the producer finishes pushing.
@@ -331,12 +323,11 @@ struct Shared {
     /// Updates applied by resident workers, bumped *after* application —
     /// `applied == submitted` is the quiescence condition.
     applied: AtomicU64,
-    /// Nonzero while a [`CoupRuntime::run_workers`] job borrows the worker
-    /// thread identities; workers stop draining so the job threads are the
-    /// only writers of the per-worker buffers.
-    paused: AtomicU64,
-    /// Workers currently sitting in the pause gate.
-    pause_acks: AtomicU64,
+    /// Set while a [`CoupRuntime::run_workers`] job retires the drainers:
+    /// each flushes its buffer and exits at the top of its next pass. It
+    /// orders nothing itself — the job's join of each drainer hands the
+    /// buffer over — so Relaxed suffices on both sides.
+    retire: AtomicBool,
     batch_capacity: usize,
     workers: usize,
     /// The counter blocks, histograms and trace rings, shared with the
@@ -358,12 +349,6 @@ impl std::fmt::Debug for Shared {
 }
 
 impl Shared {
-    fn closed(&self) -> bool {
-        // An RMW, not a load: the exit/panic decisions downstream of this
-        // must see the newest word, not a stale cached one.
-        self.submitted.fetch_add(0, Ordering::Relaxed) & SUBMIT_CLOSED != 0
-    }
-
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -371,22 +356,20 @@ impl Shared {
     /// Body of resident worker `worker`: drain the rings in the worker's
     /// slot stripe, apply their updates through the privatized-buffer path,
     /// park on the empty edge, flush and exit once the runtime closes *and*
-    /// quiesces. Returns the number of updates this worker applied.
-    fn drain_loop(&self, worker: usize) -> u64 {
+    /// quiesces, or once a job retires it.
+    fn drain_loop(&self, worker: usize) {
         let block = &self.telemetry.workers()[worker];
         let mut cache = ShardCache::default();
-        let mut applied_here = 0u64;
         loop {
-            // Fresh RMW read: a worker must never miss a pause, or a
-            // run_workers job could write buffers it still owns.
-            // ord: job-pause
-            if self.paused.fetch_add(0, Ordering::Acquire) != 0 {
-                self.pause_gate(worker);
-                continue;
-            }
-            // Epoch snapshot *before* the scan: any publication after this
-            // point moves it and turns the park below into a no-op retry.
+            // Epoch snapshot *before* the retire check and the scan: a
+            // retire or publication after this point moves it and turns the
+            // park below into a no-op retry, and one before it is visible
+            // through the snapshot's Acquire.
             let status = self.wake[worker].status();
+            if self.retire.load(Ordering::Relaxed) {
+                self.backend.flush(worker);
+                return;
+            }
             let drained = self.directory.drain_pass(
                 worker,
                 self.workers,
@@ -400,7 +383,6 @@ impl Shared {
                 },
             );
             if drained > 0 {
-                applied_here += drained;
                 self.applied.fetch_add(drained, QUIESCE_PUBLISH);
                 self.idle.notify();
                 continue;
@@ -420,42 +402,13 @@ impl Shared {
                     parker.notify();
                 }
                 self.idle.notify();
-                return applied_here;
+                return;
             }
             match self.wake[worker].park(status, || self.telemetry.record_park(block, worker)) {
                 ParkResult::Slept => self.telemetry.record_unpark(block, worker),
                 ParkResult::Moved => {}
             }
         }
-    }
-
-    /// Where a worker sits out a [`CoupRuntime::run_workers`] job: announce
-    /// the pause was observed, then park until resumed (or closed). The job
-    /// starts only after *every* worker acknowledged, which is what makes
-    /// the buffer ownership hand-off sound without a queue lock. The job
-    /// thread holding this identity then bumps the worker block; the only
-    /// words this worker still writes meanwhile are its park counts, which
-    /// job threads never touch.
-    fn pause_gate(&self, worker: usize) {
-        let block = &self.telemetry.workers()[worker];
-        self.pause_acks.fetch_add(1, Ordering::Relaxed);
-        self.pause_done.notify();
-        loop {
-            let status = self.resume.status();
-            if self.paused.fetch_add(0, Ordering::Acquire) == 0 // ord: job-pause
-                || self.resume.is_closed()
-            {
-                break;
-            }
-            match self
-                .resume
-                .park(status, || self.telemetry.record_park(block, worker))
-            {
-                ParkResult::Slept => self.telemetry.record_unpark(block, worker),
-                ParkResult::Moved => {}
-            }
-        }
-        self.pause_acks.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Blocks until `applied` reaches `target` submitted updates. The
@@ -985,15 +938,17 @@ impl<K: AddTag> CounterHandle<K> {
 /// worker's thread identity already bound — kernels never juggle raw thread
 /// indices.
 pub struct JobCtx<'a> {
-    ctx: crate::engine::WorkerCtx<'a>,
+    worker: usize,
+    workers: usize,
+    barrier: &'a Barrier,
     backend: &'a dyn UpdateBackend,
 }
 
 impl std::fmt::Debug for JobCtx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobCtx")
-            .field("worker", &self.ctx.thread)
-            .field("workers", &self.ctx.threads)
+            .field("worker", &self.worker)
+            .field("workers", &self.workers)
             .field("backend", &self.backend.name())
             .finish()
     }
@@ -1003,37 +958,37 @@ impl JobCtx<'_> {
     /// This worker's index in `0..workers`.
     #[must_use]
     pub fn worker(&self) -> usize {
-        self.ctx.thread
+        self.worker
     }
 
     /// Total workers in the job.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.ctx.threads
+        self.workers
     }
 
     /// Blocks until every worker of the job reaches the barrier. Every
     /// worker must execute the same number of barrier steps.
     pub fn barrier(&self) {
-        self.ctx.barrier();
+        self.barrier.wait();
     }
 
     /// Applies `op(current, value)` to `lane` through this worker's
     /// privatized buffer — the direct path, no queue.
     pub fn update(&self, lane: usize, value: u64) {
-        self.backend.update(self.ctx.thread, lane, value);
+        self.backend.update(self.worker, lane, value);
     }
 
     /// Update immediately followed by a read of the same lane (see
     /// [`UpdateBackend::update_read`] for the backends' atomicity contract).
     pub fn update_read(&self, lane: usize, value: u64) -> u64 {
-        self.backend.update_read(self.ctx.thread, lane, value)
+        self.backend.update_read(self.worker, lane, value)
     }
 
     /// Reads `lane`, reducing buffered partials as needed.
     #[must_use]
     pub fn read(&self, lane: usize) -> u64 {
-        self.backend.read(self.ctx.thread, lane)
+        self.backend.read(self.worker, lane)
     }
 
     /// Reads `lane` through the relaxed tier: no reduction, no read holds,
@@ -1043,7 +998,7 @@ impl JobCtx<'_> {
     /// [`JobCtx::read`].
     #[must_use]
     pub fn read_stale(&self, lane: usize) -> StaleRead {
-        self.backend.read_stale(self.ctx.thread, lane)
+        self.backend.read_stale(self.worker, lane)
     }
 }
 
@@ -1084,15 +1039,57 @@ pub struct RuntimeResult {
 #[derive(Debug)]
 pub struct CoupRuntime {
     shared: Arc<Shared>,
-    /// Resident worker join handles — empty until the first submission
-    /// handle spawns them (lazy, so kernel-only runtimes pay nothing).
-    drainers: Mutex<Vec<crate::sync::thread::JoinHandle<u64>>>,
-    /// Serialises [`CoupRuntime::run_workers`] jobs (and the lazy worker
-    /// spawn): two jobs sharing worker thread identities concurrently would
-    /// break the buffers' single-writer discipline, and a spawn landing
-    /// mid-job would hand the same identities to a drainer.
+    drainers: Mutex<Drainers>,
+    /// Serialises [`CoupRuntime::run_workers`] jobs: two jobs sharing worker
+    /// thread identities concurrently would break the buffers'
+    /// single-writer discipline.
     job: Mutex<()>,
     started: Instant,
+}
+
+/// The resident workers' life cycle. They spawn lazily, so kernel-only
+/// runtimes pay nothing, and a job retires them for its duration.
+#[derive(Debug, Default)]
+struct Drainers {
+    /// Set by the first submission handle: from then on every worker
+    /// identity has a drainer, except while a job holds the identities.
+    spawned: bool,
+    /// A [`CoupRuntime::run_workers`] job holds the worker identities; no
+    /// drainer starts until its [`Respawn`] guard drops.
+    in_job: bool,
+    /// Join handles of the running drainers.
+    live: Vec<JoinHandle<()>>,
+}
+
+/// Restarts the drainers a job retired (see
+/// [`CoupRuntime::retire_drainers`]) — on unwind too, so a caught job panic
+/// cannot wedge submissions and `drain()`.
+struct Respawn<'a>(&'a CoupRuntime);
+
+impl Drop for Respawn<'_> {
+    fn drop(&mut self) {
+        let runtime = self.0;
+        let mut drainers = runtime.lock_drainers();
+        drainers.in_job = false;
+        if drainers.spawned {
+            runtime.shared.retire.store(false, Ordering::Relaxed);
+            drainers.live = runtime.spawn_drainers();
+        }
+    }
+}
+
+/// Joins every drainer, then re-raises the first one's panic payload if
+/// `propagate_panics` — never mid-loop, so no drainer outlives the call.
+fn join_drainers(live: Vec<JoinHandle<()>>, propagate_panics: bool) {
+    let mut panic = None;
+    for drainer in live {
+        if let Err(payload) = drainer.join() {
+            panic.get_or_insert(payload);
+        }
+    }
+    if let Some(payload) = panic.filter(|_| propagate_panics) {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 impl CoupRuntime {
@@ -1120,39 +1117,36 @@ impl CoupRuntime {
         self.shared.backend.name()
     }
 
-    fn lock_drainers(&self) -> MutexGuard<'_, Vec<crate::sync::thread::JoinHandle<u64>>> {
+    fn lock_drainers(&self) -> MutexGuard<'_, Drainers> {
         self.drainers
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Spawns the resident workers if they are not running yet. Serialised
-    /// against [`CoupRuntime::run_workers`] by the job lock, so workers
-    /// never materialise in the middle of a job's buffer ownership.
+    /// One drainer thread per worker identity.
+    fn spawn_drainers(&self) -> Vec<JoinHandle<()>> {
+        (0..self.shared.workers)
+            .map(|worker| {
+                let shared = Arc::clone(&self.shared);
+                crate::sync::thread::Builder::new()
+                    .name(format!("coup-worker-{worker}"))
+                    .spawn(move || shared.drain_loop(worker))
+                    .expect("spawning a resident worker thread")
+            })
+            .collect()
+    }
+
+    /// Spawns the resident workers on the first submission handle. A job in
+    /// progress counts as spawned — its guard starts them when it ends — so
+    /// a handle taken inside a job never waits on that job.
     fn ensure_workers(&self) {
-        {
-            // Fast path once running; a stale miss just repeats the check
-            // under the lock.
-            let drainers = self.lock_drainers();
-            if !drainers.is_empty() {
-                return;
+        let mut drainers = self.lock_drainers();
+        if !drainers.spawned {
+            drainers.spawned = true;
+            if !drainers.in_job {
+                drainers.live = self.spawn_drainers();
             }
         }
-        let _job = self
-            .job
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut drainers = self.lock_drainers();
-        if !drainers.is_empty() || self.shared.closed() {
-            return;
-        }
-        drainers.extend((0..self.shared.workers).map(|worker| {
-            let shared = Arc::clone(&self.shared);
-            crate::sync::thread::Builder::new()
-                .name(format!("coup-worker-{worker}"))
-                .spawn(move || shared.drain_loop(worker))
-                .expect("spawning a resident worker thread")
-        }));
     }
 
     /// A new write-only batched producer (spawns the resident workers on
@@ -1279,98 +1273,112 @@ impl CoupRuntime {
     /// wall-clock time (including each worker's final buffer flush, so
     /// backends cannot hide work).
     ///
-    /// The submission path is drained and paused for the duration — job
-    /// threads temporarily *are* the workers, with exclusive ownership of
-    /// the per-worker privatized buffers — and resumes when the job ends.
-    /// Jobs serialise against each other. Updates submitted concurrently
-    /// with a job are applied after it finishes.
+    /// The submission path is drained and its resident workers retired for
+    /// the duration — job threads temporarily *are* the workers, with
+    /// exclusive ownership of the per-worker privatized buffers — and
+    /// respawned when the job ends, even by a panic. Jobs serialise against
+    /// each other. Updates submitted concurrently with a job are applied
+    /// after it finishes, including those the job pushes through a handle
+    /// of its own: such a handle may fill its ring but must not wait for
+    /// room, since no drainer frees any before the job ends.
+    ///
+    /// A worker that panics while others wait in [`JobCtx::barrier`]
+    /// deadlocks the job (`std::sync::Barrier` has no poisoning), so every
+    /// worker must take the same barrier steps.
     pub fn run_workers<R, F>(&self, job: F) -> (Vec<R>, Duration)
     where
         R: Send,
         F: Fn(JobCtx<'_>) -> R + Sync,
     {
-        // Poison recovery: a previous job's panic already ran the resume
-        // guard below, so the runtime's invariants hold and the next job may
+        // Poison recovery: a previous job's panic already ran the respawn
+        // guard, so the runtime's invariants hold and the next job may
         // proceed.
         let _job = self
             .job
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let live_workers = self.lock_drainers().len() as u64;
-        // Quiesce first (the job must observe every update submitted before
-        // the call), then pause; the job starts only once every worker has
-        // acknowledged the pause from inside its gate, which is what hands
-        // the job threads exclusive buffer ownership.
+        // Quiesce first: the job must observe every update submitted before
+        // the call.
         self.drain();
-        if live_workers > 0 {
-            self.shared.paused.store(1, Ordering::Release); // ord: job-pause
-            for parker in self.shared.wake.iter() {
-                parker.notify();
-            }
-            loop {
-                let status = self.shared.pause_done.status();
-                if self.shared.pause_acks.fetch_add(0, Ordering::Relaxed) >= live_workers {
-                    break;
-                }
-                self.shared.pause_done.park(status, || {});
-            }
-        }
-        // Resume draining even if the job panics — otherwise a caught panic
-        // would leave the workers paused forever and wedge every later
-        // submission and drain().
-        struct ResumeDraining<'a>(&'a Shared, bool);
-        impl Drop for ResumeDraining<'_> {
-            fn drop(&mut self) {
-                if self.1 {
-                    self.0.paused.store(0, Ordering::Release); // ord: job-pause
-                    self.0.resume.notify();
-                }
-            }
-        }
-        let _resume = ResumeDraining(self.shared.as_ref(), live_workers > 0);
+        let _respawn = self.retire_drainers();
+        let workers = self.shared.workers;
         let backend = self.shared.backend.as_ref();
-        let engine = Engine::new(self.shared.workers);
-        let start = Instant::now();
-        let results = engine.run(|ctx| {
-            let worker = ctx.thread;
-            let result = job(JobCtx { ctx, backend });
+        let barrier = Barrier::new(workers);
+        let run = |worker| {
+            let result = job(JobCtx {
+                worker,
+                workers,
+                barrier: &barrier,
+                backend,
+            });
             backend.flush(worker);
             result
+        };
+        let start = Instant::now();
+        // Worker 0 runs on the calling thread, so a one-worker job spawns
+        // nothing.
+        let results = std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = (1..workers)
+                .map(|worker| scope.spawn(move || run(worker)))
+                .collect();
+            let mut results = vec![run(0)];
+            for handle in handles {
+                // Re-raise the worker's own payload so a kernel assertion
+                // message survives to the test report instead of being
+                // replaced by a generic "a scoped thread panicked".
+                match handle.join() {
+                    Ok(result) => results.push(result),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            results
         });
         (results, start.elapsed())
     }
 
+    /// Retires the resident workers for a job: raises the retire flag,
+    /// wakes every drainer and joins it. Each join is the happens-before
+    /// edge that hands a drainer's buffer and counter block to the job
+    /// thread taking its identity. The returned guard respawns them.
+    fn retire_drainers(&self) -> Respawn<'_> {
+        let live = {
+            let mut drainers = self.lock_drainers();
+            drainers.in_job = true;
+            std::mem::take(&mut drainers.live)
+        };
+        let respawn = Respawn(self);
+        if !live.is_empty() {
+            self.shared.retire.store(true, Ordering::Relaxed);
+            for parker in self.shared.wake.iter() {
+                parker.notify();
+            }
+            join_drainers(live, true);
+        }
+        respawn
+    }
+
     /// Closes the submission gate and joins the resident workers: they
     /// drain every published update, flush their privatized buffers, and
-    /// exit once `applied == submitted`. Returns the total updates they
-    /// applied. Safe to call twice (Drop after shutdown). With
-    /// `propagate_panics` false (the `Drop` path) a panicked worker is
-    /// ignored — re-raising during an unwind would double-panic.
-    fn close_and_join(&mut self, propagate_panics: bool) -> u64 {
+    /// exit once `applied == submitted`. Safe to call twice (Drop after
+    /// shutdown). With `propagate_panics` false (the `Drop` path) a
+    /// panicked worker is ignored — re-raising during an unwind would
+    /// double-panic.
+    fn close_and_join(&mut self, propagate_panics: bool) {
         self.shared
             .submitted
             .fetch_or(SUBMIT_CLOSED, Ordering::Relaxed);
         // Wake everyone who might be parked: workers (to run their exit
-        // check), producers on full rings or the claim edge (their workers
-        // keep draining until quiescence, so they finish or discard), and
-        // any pause machinery.
+        // check) and producers on full rings or the claim edge (their
+        // workers keep draining until quiescence, so they finish or
+        // discard).
         for parker in self.shared.wake.iter() {
             parker.close();
         }
         self.shared.directory.close_all();
-        self.shared.resume.close();
-        self.shared.pause_done.close();
-        let drainers: Vec<_> = self.lock_drainers().drain(..).collect();
-        let mut applied = 0u64;
-        for drainer in drainers {
-            match drainer.join() {
-                Ok(count) => applied += count,
-                Err(payload) if propagate_panics => std::panic::resume_unwind(payload),
-                Err(_) => {}
-            }
-        }
+        let live = std::mem::take(&mut self.lock_drainers().live);
+        join_drainers(live, propagate_panics);
         self.shared.idle.close();
-        applied
     }
 
     /// Quiesces the runtime and returns the exact final snapshot plus the
@@ -1379,7 +1387,7 @@ impl CoupRuntime {
     /// discards instead).
     #[must_use]
     pub fn shutdown(mut self) -> RuntimeResult {
-        let applied = self.close_and_join(true);
+        self.close_and_join(true);
         let workers = self.shared.workers;
         let elapsed = self.started.elapsed();
         let metrics = self.shared.metrics();
@@ -1388,7 +1396,7 @@ impl CoupRuntime {
             snapshot,
             report: ThroughputReport {
                 threads: workers,
-                updates: applied,
+                updates: metrics.updates_applied,
                 reads: metrics.handle_reads,
                 elapsed,
                 read_cost: metrics.read_cost,
@@ -1404,8 +1412,8 @@ impl Drop for CoupRuntime {
     /// published updates are applied and workers join, so no submitted
     /// update is ever lost — only the final report is forfeited.
     fn drop(&mut self) {
-        if !self.lock_drainers().is_empty() {
-            let _ = self.close_and_join(false);
+        if !self.lock_drainers().live.is_empty() {
+            self.close_and_join(false);
         }
     }
 }
@@ -1413,6 +1421,7 @@ impl Drop for CoupRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::tests::stress_factor;
 
     fn counting_runtime(lanes: usize, workers: usize, batch: usize) -> CoupRuntime {
         RuntimeBuilder::new(CommutativeOp::AddU64, lanes)
@@ -1643,20 +1652,57 @@ mod tests {
         assert_eq!(result.snapshot, vec![16, 2, 0, 0]);
     }
 
+    /// The text of a panic payload (`&str` or `String`), empty otherwise.
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(String::from)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// A job thread's panic re-raises with its own payload on a runtime
+    /// whose drainers were never spawned (the kernel executors' case).
     #[test]
-    fn a_panicking_job_does_not_wedge_the_queue() {
+    fn run_workers_preserves_worker_panic_payloads() {
         let rt = counting_runtime(4, 2, 2);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rt.run_workers(|ctx| {
-                if ctx.worker() == 0 {
-                    panic!("job assertion failed");
+                if ctx.worker() == 1 {
+                    panic!("kernel assertion failed: lane 7 mismatch");
                 }
             });
         }));
-        assert!(panicked.is_err(), "the job panic must propagate");
-        // Draining must have resumed: submissions still flow end to end.
+        let message = panic_message(panicked.expect_err("the worker panic must propagate"));
+        assert!(
+            message.contains("lane 7 mismatch"),
+            "original payload lost: {message:?}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_wedge_the_queue() {
+        let rt = counting_runtime(4, 2, 2);
+        // A live submitter: the job retires running drainers.
         let mut sub = rt.submitter();
-        for _ in 0..6 {
+        sub.push(1, 1);
+        sub.push(1, 1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.run_workers(|ctx| {
+                if ctx.worker() == 1 {
+                    panic!("job assertion failed: lane 7 mismatch");
+                }
+            });
+        }));
+        // The job thread's own payload survives the join.
+        let message = panic_message(panicked.expect_err("the job panic must propagate"));
+        assert!(
+            message.contains("lane 7 mismatch"),
+            "original payload lost: {message:?}"
+        );
+        // The drainers respawned: submissions still flow end to end.
+        for _ in 0..4 {
             sub.push(1, 1);
         }
         drop(sub);
@@ -1665,6 +1711,83 @@ mod tests {
         // And a later job still runs.
         let (results, _) = rt.run_workers(|ctx| ctx.worker());
         assert_eq!(results, vec![0, 1]);
+    }
+
+    /// A handle taken inside a job must not wait for that job, whether the
+    /// job retired live drainers or the runtime never spawned any; its
+    /// updates land once the job's drainers (re)start.
+    #[test]
+    fn a_job_may_take_a_handle() {
+        for live_workers in [true, false] {
+            let rt = counting_runtime(4, 2, 4);
+            if live_workers {
+                drop(rt.submitter());
+            }
+            rt.run_workers(|ctx| {
+                // Fewer updates than one ring holds, so no push parks on a
+                // drainer the job holds back.
+                let mut sub = rt.submitter();
+                for _ in 0..8 {
+                    sub.push(ctx.worker(), 1);
+                }
+            });
+            rt.drain();
+            assert_eq!(rt.snapshot(), vec![8, 8, 0, 0], "live: {live_workers}");
+            assert_eq!(rt.shutdown().report.updates, 16);
+        }
+    }
+
+    /// Jobs retire and respawn the drainers while producers keep 8-update
+    /// rings full: each job sees exactly what was applied before it — at
+    /// least everything submitted before the call — and nothing is lost or
+    /// doubled across the hand-offs.
+    #[test]
+    fn jobs_interleave_with_a_producer_flood() {
+        const LANES: usize = 16;
+        let producers = 3u64;
+        let per_producer = 2_048 * stress_factor();
+        let jobs = 20 * stress_factor();
+        // Lane 16 takes the jobs' own updates, away from the producers'.
+        let rt = RuntimeBuilder::new(CommutativeOp::AddU64, LANES + 1)
+            .workers(2)
+            .batch_capacity(4)
+            .queue_capacity(8)
+            .build();
+        std::thread::scope(|scope| {
+            for producer in 0..producers {
+                let mut sub = rt.submitter();
+                scope.spawn(move || {
+                    for i in 0..per_producer {
+                        sub.push(((producer + i) % LANES as u64) as usize, 1);
+                    }
+                });
+            }
+            for _ in 0..jobs {
+                let (submitted_before, _) = rt.queue_depth();
+                let (seen, _) = rt.run_workers(|ctx| {
+                    // No drainer runs during a job: `applied` holds still
+                    // and every applied update is visible here.
+                    let (_, applied) = rt.queue_depth();
+                    let total: u64 = (0..LANES).map(|lane| ctx.read(lane)).sum();
+                    ctx.barrier();
+                    ctx.update(LANES, 1);
+                    (applied, total)
+                });
+                for (applied, total) in seen {
+                    assert!(
+                        applied >= submitted_before,
+                        "job started before draining: {applied} < {submitted_before}"
+                    );
+                    assert_eq!(total, applied, "job sees exactly the applied updates");
+                }
+            }
+        });
+        let result = rt.shutdown();
+        let per_lane = producers * per_producer / LANES as u64;
+        let mut expected = vec![per_lane; LANES];
+        expected.push(2 * jobs);
+        assert_eq!(result.snapshot, expected);
+        assert_eq!(result.report.updates, producers * per_producer);
     }
 
     #[test]
@@ -1711,14 +1834,18 @@ mod tests {
     fn workers_spawn_lazily_on_the_first_handle() {
         let rt = counting_runtime(4, 2, 4);
         assert!(
-            rt.lock_drainers().is_empty(),
+            rt.lock_drainers().live.is_empty(),
             "no resident workers before the first handle"
         );
         // Kernel-only use never spawns drainers.
         rt.run_workers(|ctx| ctx.update(0, 1));
-        assert!(rt.lock_drainers().is_empty());
+        assert!(rt.lock_drainers().live.is_empty());
         let mut sub = rt.submitter();
-        assert_eq!(rt.lock_drainers().len(), 2, "first handle spawns workers");
+        assert_eq!(
+            rt.lock_drainers().live.len(),
+            2,
+            "first handle spawns workers"
+        );
         sub.push(1, 5);
         drop(sub);
         let result = rt.shutdown();

@@ -12,8 +12,11 @@
 //!
 //! Who owns a block:
 //!
-//! * worker block `t` belongs to resident worker `t`, or to the job thread
-//!   holding identity `t` during a [`crate::CoupRuntime::run_workers`] job;
+//! * worker block `t` has exactly one writer at a time: resident worker
+//!   `t`, or the job thread that takes identity `t` during a
+//!   [`crate::CoupRuntime::run_workers`] job. The job joins the resident
+//!   worker before its thread starts and respawns it after the job thread
+//!   ends, so thread join and spawn order the hand-offs;
 //! * a submission handle takes a block from the registry's pool on its
 //!   first read or first full-ring park and hands it back on drop, and a
 //!   facade read ([`crate::CoupRuntime::read`]) borrows one for the call.
@@ -559,7 +562,7 @@ pub struct MetricsSnapshot {
     /// ([`crate::CoupRuntime::read_stale`] and its handle variants).
     pub stale_reads: u64,
     /// Parker sleeps: drainers on an empty stripe, producers on a full
-    /// ring, workers paused for a kernel job.
+    /// ring.
     pub queue_parks: u64,
     /// Wakes after a counted park; parks minus unparks bounds the threads
     /// currently asleep.
@@ -615,7 +618,7 @@ const COUNTER_META: [(&str, &str); 17] = [
     ),
     (
         "coup_queue_parks_total",
-        "Parker sleeps: empty stripe, full ring, or paused worker.",
+        "Parker sleeps: drainer on an empty stripe or producer on a full ring.",
     ),
     (
         "coup_queue_unparks_total",
@@ -777,6 +780,11 @@ impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format:
     /// `HELP`/`TYPE` headers, plain counters, and cumulative
     /// `_bucket{le=...}` / `_sum` / `_count` series for every histogram.
+    ///
+    /// Domain: every counter and histogram sum may be any `u64`, but each
+    /// histogram's bucket total must fit in a `u64`, because the cumulative
+    /// `_bucket` and `_count` series are `u64`s. Inside that domain
+    /// [`MetricsSnapshot::from_prometheus`] reads the text back exactly.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
         for ((name, help), value) in COUNTER_META.iter().zip(self.counter_values()) {

@@ -36,9 +36,10 @@ pub enum TraceKind {
     /// An update found its line read-held across the whole probe window and
     /// bypassed the buffers with a direct store RMW.
     HeldBypass,
-    /// A drainer went to sleep on the queue condvar (queue empty or paused).
+    /// A thread went to sleep on a parker: a drainer whose ring stripe was
+    /// empty, or a producer whose ring was full.
     QueuePark,
-    /// A drainer woke from the queue condvar and resumed popping batches.
+    /// A thread woke from a counted park.
     QueueUnpark,
     /// A drainer consumed a published batch from a shard ring; the `line`
     /// field carries the directory slot index.

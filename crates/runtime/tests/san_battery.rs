@@ -76,7 +76,7 @@ fn exercise_backend() {
 }
 
 /// ring-publish, ring-consume, shard-claim, shard-retire, queue-wake,
-/// drain-quiesce, job-pause, trace-ticket, plus the tiered read's
+/// drain-quiesce, trace-ticket, plus the tiered read's
 /// stale-pending (the bound's pending-counter walk): the submission-queue
 /// and runtime-facade protocols.
 fn exercise_runtime() {
@@ -86,7 +86,7 @@ fn exercise_runtime() {
         .queue_capacity(8)
         .build();
     // Spawn the resident workers before the producer flood (handles spawn
-    // them lazily) so `run_workers` below really pauses live drainers.
+    // them lazily) so `run_workers` below really retires live drainers.
     let warmup = rt.submitter();
     drop(warmup);
 
@@ -103,8 +103,9 @@ fn exercise_runtime() {
         }
         // A job while producers flood an 8-slot ring guarantees the ring
         // fills: producers must re-read the consumer head (`ring-consume`
-        // acquire side) once draining resumes. The pause/resume stores and
-        // the workers' acknowledgement loads pair `job-pause`.
+        // acquire side) once the respawned drainers consume. The hand-off
+        // to and from the job threads is a thread join and spawn, so it
+        // carries no tag.
         let (sums, _) = rt.run_workers(|ctx| {
             ctx.update(0, 1);
             ctx.barrier();

@@ -14,7 +14,12 @@
 //!
 //! 1. **Expand** — every thread processes its round-robin share of the
 //!    current frontier, check-then-setting the visited bit of each neighbour
-//!    (a read followed by a commutative OR when the bit is clear).
+//!    (a read followed by a commutative OR when the bit is clear). Only one
+//!    edge may set a vertex's bit: the first edge reaching it in frontier
+//!    order, which every thread works out from the frontier it already
+//!    holds. Two threads can therefore never both OR the same new vertex,
+//!    so every executor issues exactly one OR per reachable vertex whatever
+//!    the interleaving, while the reads stay as interleaved as before.
 //! 2. **Derive** — after a barrier guarantees no OR is in flight, every
 //!    thread reads the candidate bitmap words (the words holding the
 //!    frontier's neighbours) and computes the *newly set* bits against its
@@ -233,7 +238,7 @@ impl UpdateKernel for BfsKernel<'_> {
 /// Where a [`BfsLevelProgram`] is within its current level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stage {
-    /// Set the root's bit (every thread; OR is idempotent) before level 0.
+    /// Set the root's bit (thread 0 only) before level 0.
     SeedRoot,
     /// Stream the edge-list word of the current assigned edge.
     LoadEdge,
@@ -281,6 +286,11 @@ struct BfsLevelProgram {
     cursor: usize,
     /// The next frontier being collected during the derive phase.
     next_frontier: Vec<usize>,
+    /// Per vertex, the index of the first frontier edge that reached it, in
+    /// level and then frontier order (`usize::MAX` while unreached). Only
+    /// that edge may set its bit: a vertex is visited in the level that
+    /// first reaches it, so later levels only read it.
+    first_edge: Vec<usize>,
 }
 
 impl BfsLevelProgram {
@@ -291,10 +301,11 @@ impl BfsLevelProgram {
         threads: usize,
         record: Option<LevelRecord>,
     ) -> Self {
-        let words = graph.vertices.div_ceil(64);
+        let vertices = graph.vertices;
+        let words = vertices.div_ceil(64);
         let mut known = vec![0u64; words];
         known[root / 64] |= BfsWorkload::bit_mask(root);
-        BfsLevelProgram {
+        let mut program = BfsLevelProgram {
             graph,
             thread,
             threads,
@@ -308,6 +319,23 @@ impl BfsLevelProgram {
             candidates: Vec::new(),
             cursor: 0,
             next_frontier: Vec::new(),
+            first_edge: vec![usize::MAX; vertices],
+        };
+        program.mark_first_edges();
+        program
+    }
+
+    /// Marks the first reaching edge of every vertex the current frontier
+    /// reaches for the first time. Every thread holds the same frontier, so
+    /// all agree on the marks.
+    fn mark_first_edges(&mut self) {
+        for &u in &self.frontier {
+            let start = self.graph.offsets[u];
+            for (offset, &n) in self.graph.neighbours(u).iter().enumerate() {
+                if self.first_edge[n] == usize::MAX {
+                    self.first_edge[n] = start + offset;
+                }
+            }
         }
     }
 
@@ -355,6 +383,9 @@ impl KernelProgram for BfsLevelProgram {
                 Stage::SeedRoot => {
                     let root = self.levels[0][0];
                     self.stage = Stage::LoadEdge;
+                    if self.thread != 0 {
+                        continue;
+                    }
                     return Some(KernelStep::Update {
                         slot: root / 64,
                         value: BfsWorkload::bit_mask(root),
@@ -382,11 +413,11 @@ impl KernelProgram for BfsLevelProgram {
                     let word = last_read.expect("Decide follows a Read");
                     self.edge += 1;
                     self.stage = Stage::LoadEdge;
-                    if word & BfsWorkload::bit_mask(n) == 0 {
-                        // Not visited yet: set the bit (commutative OR) — the
-                        // check-then-set may race another thread's identical
-                        // OR, which is harmless (idempotent) and does not
-                        // perturb the derive phase.
+                    let first = self.first_edge[n] == self.graph.offsets[u] + edge;
+                    if word & BfsWorkload::bit_mask(n) == 0 && first {
+                        // Not visited yet and this is the first edge reaching
+                        // it: set the bit (commutative OR). Every other edge
+                        // to `n` only reads, so the check cannot race.
                         return Some(KernelStep::Update {
                             slot: n / 64,
                             value: BfsWorkload::bit_mask(n),
@@ -436,6 +467,7 @@ impl KernelProgram for BfsLevelProgram {
                     }
                     self.frontier = std::mem::take(&mut self.next_frontier);
                     self.levels.push(self.frontier.clone());
+                    self.mark_first_edges();
                     self.pos = self.thread;
                     self.edge = 0;
                     self.stage = Stage::LoadEdge;
@@ -457,8 +489,8 @@ impl Workload for BfsWorkload {
     }
 
     fn init(&self, _mem: &mut MemorySystem) {
-        // The kernel programs seed the root's bit themselves (an idempotent
-        // OR from every thread), so nothing needs poking.
+        // Thread 0's kernel program seeds the root's bit with an OR, so
+        // nothing needs poking.
     }
 
     fn programs(&self, threads: usize) -> Vec<BoxedProgram<'_>> {
@@ -540,6 +572,30 @@ mod tests {
             kernel.take_observed_levels().is_none(),
             "taking the record clears it"
         );
+    }
+
+    /// Only the first edge reaching a vertex sets its bit, so the issued-OR
+    /// count is one per reachable vertex on every executor, whatever the
+    /// interleaving.
+    #[test]
+    fn every_executor_issues_one_or_per_reachable_vertex() {
+        let w = BfsWorkload::new(300, 6, 5);
+        let reachable = w.reference_distances().iter().flatten().count() as u64;
+        let kernel = w.kernel();
+        for threads in [1usize, 3, 4] {
+            for kind in [RuntimeKind::Atomic, RuntimeKind::Coup] {
+                let report = RuntimeBackend::new(kind, threads)
+                    .execute(&kernel)
+                    .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+                assert_eq!(report.updates, reachable, "{kind:?}, {threads} threads");
+            }
+            let cfg = SystemConfig::test_system(threads, ProtocolKind::Meusi);
+            let stats = SimBackend::new(cfg).execute(&kernel).expect("verifies");
+            assert_eq!(
+                stats.commutative_updates, reachable,
+                "sim, {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -12,13 +12,25 @@
 //! delete) to a valid input. The edit bytes lean towards the formats'
 //! structural characters, so most mutants get past the first byte and
 //! exercise the nesting, string, number and schema paths.
+//!
+//! Both snapshot codecs also round-trip exactly over arbitrary values:
+//! any `u64` counters and sums, and histogram buckets whose total fits in
+//! a `u64` (the Prometheus exporter's domain).
 
 use std::path::Path;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use coup_runtime::{BenchReport, MetricsSnapshot};
+use coup_runtime::{BenchReport, MetricsSnapshot, HIST_BUCKETS};
+
+/// The largest bucket value the round-trip draws: sixteen of them still sum
+/// to at most `u64::MAX`, so every histogram stays inside the exporter's
+/// domain.
+const BUCKET_MAX: u64 = u64::MAX / HIST_BUCKETS as u64;
+
+/// Seven histograms' buckets (flattened) and sums.
+const HISTOGRAMS: usize = 7;
 
 /// Bytes the edits draw from: JSON and exposition-format punctuation,
 /// digits, escapes, Rust comment, string and char delimiters, and lone
@@ -53,6 +65,51 @@ fn mutate(seed: &str, edits: &[(u8, usize, u8)]) -> String {
 fn committed_bench_file() -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_runtime.json");
     std::fs::read_to_string(path).expect("BENCH_runtime.json is committed")
+}
+
+/// A snapshot from arbitrary counters, buckets and sums, in field order.
+fn snapshot_from(counters: &[u64], buckets: &[u64], sums: &[u64]) -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    let slots = [
+        &mut snap.uptime_ns,
+        &mut snap.updates_submitted,
+        &mut snap.updates_applied,
+        &mut snap.handle_reads,
+        &mut snap.stale_reads,
+        &mut snap.queue_parks,
+        &mut snap.queue_unparks,
+        &mut snap.trace_recorded,
+        &mut snap.trace_dropped,
+        &mut snap.read_cost.reads,
+        &mut snap.read_cost.buffer_words,
+        &mut snap.read_cost.retries,
+        &mut snap.read_cost.escalations,
+        &mut snap.buffer_stats.privatized,
+        &mut snap.buffer_stats.evictions,
+        &mut snap.buffer_stats.flushes,
+        &mut snap.buffer_stats.held_bypasses,
+    ];
+    for (slot, &value) in slots.into_iter().zip(counters) {
+        *slot = value;
+    }
+    let hists = [
+        &mut snap.read_width,
+        &mut snap.read_retries,
+        &mut snap.queue_dwell_us,
+        &mut snap.batch_size,
+        &mut snap.occupancy,
+        &mut snap.flush_words,
+        &mut snap.staleness,
+    ];
+    for ((hist, chunk), &sum) in hists
+        .into_iter()
+        .zip(buckets.chunks(HIST_BUCKETS))
+        .zip(sums)
+    {
+        hist.buckets.copy_from_slice(chunk);
+        hist.sum = sum;
+    }
+    snap
 }
 
 fn sample_snapshot() -> MetricsSnapshot {
@@ -129,6 +186,23 @@ proptest! {
         let snap = sample_snapshot();
         let _ = MetricsSnapshot::from_json(&mutate(&snap.to_json(), &edits));
         let _ = MetricsSnapshot::from_prometheus(&mutate(&snap.to_prometheus(), &edits));
+    }
+
+    #[test]
+    fn snapshot_codecs_round_trip_arbitrary_values(
+        counters in prop::collection::vec(any::<u64>(), 17..18),
+        buckets in prop::collection::vec(
+            0..=BUCKET_MAX,
+            HISTOGRAMS * HIST_BUCKETS..HISTOGRAMS * HIST_BUCKETS + 1,
+        ),
+        sums in prop::collection::vec(any::<u64>(), HISTOGRAMS..HISTOGRAMS + 1),
+    ) {
+        let snap = snapshot_from(&counters, &buckets, &sums);
+        prop_assert_eq!(MetricsSnapshot::from_json(&snap.to_json()), Ok(snap));
+        prop_assert_eq!(
+            MetricsSnapshot::from_prometheus(&snap.to_prometheus()),
+            Ok(snap)
+        );
     }
 
     #[test]
